@@ -131,7 +131,10 @@ def save_run(path, win: CosetWindow, m: Matching, reports=None, extra_config=Non
 
 def load_run(path):
     """Read an EQDC container back; hash mismatches and truncation raise."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise LoadError(f"cannot read {path}: {e.strerror or e}") from e
     if len(data) < len(MAGIC) + 16:
         raise LoadError("file truncated before header")
     if data[: len(MAGIC)] != MAGIC:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, build_rect_tree
@@ -30,7 +31,6 @@ __all__ = [
     "init_m0",
     "prune_cross_cube",
     "rematch_dirty_cubes",
-    "refine_cube",
     "run_pipeline",
 ]
 
@@ -211,19 +211,26 @@ def integer_voronoi(S: CellSet, window: Rect, cover_radius: int | None = None):
 
 
 def grid_domain(S: CellSet, n_cube: int, voronoi, window: Rect, level: int = 0) -> GridDomain:
-    """All n_cube-cubes aligned to their seed's grid and fully inside its cell."""
+    """All n_cube-cubes aligned to their seed's grid and fully inside its cell.
+
+    Each seed scans only the bounding box of its Voronoi cell, so the cost is
+    the sum of the cells' bounding-box volumes, not seeds x window.
+    """
     if not _is_pow2(n_cube):
         raise ArgumentError("cube size must be a power of two")
     owner, seeds = voronoi
     low = np.array(window.low)
-    sides = np.array(window.sides)
     cube_id = np.full(window.sides, -1, dtype=np.int32)
     lows, seed_of = [], []
     next_id = 0
-    for si, s in enumerate(seeds):
-        rel = s - low
-        start = rel % n_cube
-        count = (sides - start) // n_cube
+    boxes = ndimage.find_objects(owner + 1, max_label=len(seeds))
+    for si, (s, box) in enumerate(zip(seeds, boxes)):
+        if box is None:
+            continue
+        lo = np.array([b.start for b in box])
+        hi = np.array([b.stop for b in box])
+        start = lo + (s - low - lo) % n_cube
+        count = (hi - start) // n_cube
         if np.any(count <= 0):
             continue
         region = tuple(slice(int(a), int(a + c * n_cube)) for a, c in zip(start, count))
@@ -417,37 +424,6 @@ def _tree_n_prev(tree) -> int:
     return tree.root.sides[0] >> tree.h
 
 
-def refine_cube(
-    m3: Matching,
-    dom: GridDomain,
-    ci: int,
-    prev: GridDomain,
-    win: CosetWindow,
-    mutant: bool = False,
-) -> None:
-    """Align a clean cube's matching with the inherited finer grid, then make
-    it maximum by bounded-length augmentation, level by level.
-
-    Mutates ``m3`` in place (the cube's slice only). Basic rectangles that are
-    not cubes of the previous domain get fresh canonical matchings first.
-    """
-    cube, tree = _cube_tree(dom, ci, prev, win)
-    n_prev = prev.n_cube
-    sl = cube.slices_in(win.window)
-    a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
-    am, bm = m3.a_match[sl], m3.b_match[sl]
-    for node in tree.level_nodes(tree.h):
-        if all(s == n_prev for s in node.rect.sides):
-            continue
-        bsl = node.rect.slices_in(cube)
-        am[bsl] = -1
-        bm[bsl] = -1
-        rev = mutant and bool(sum(node.rect.low) % 2)
-        greedy_offset_pass(a_bits[bsl], b_bits[bsl], am[bsl], bm[bsl], m3.m_cap, reverse=rev)
-        augment_to_max(a_bits[bsl], b_bits[bsl], am[bsl], bm[bsl], m3.m_cap)
-    _refine_augment(m3, win, cube, tree)
-
-
 def _refine_all(
     m3: Matching,
     dom: GridDomain,
@@ -456,8 +432,13 @@ def _refine_all(
     clean_ids,
     mutant: bool = False,
 ) -> None:
-    """Refine every clean cube; the fresh-basic matchings run as one batched
-    greedy pass (identical outcome to per-cube refine_cube)."""
+    """Align each clean cube's matching with the inherited finer grid, then
+    make it maximum by bounded-length augmentation, level by level.
+
+    Mutates ``m3`` in place (the clean cubes' slices only); raises on a dirty
+    cube. Basic rectangles that are not cubes of the previous domain get fresh
+    canonical matchings first, all in one batched greedy pass.
+    """
     n_prev = prev.n_cube
     trees = {}
     fresh = []  # window-level slice tuples
@@ -593,7 +574,7 @@ def run_pipeline(
 
     doms = []
     reports: list[IterationReport] = []
-    vor = integer_voronoi(schedule.seeds[0], win.window, cover_radius=_cover(schedule, 0, win))
+    vor = integer_voronoi(schedule.seeds[0], win.window, cover_radius=schedule.seed_radii[0])
     dom = grid_domain(schedule.seeds[0], schedule.ladder[0], vor, win.window, level=0)
     doms.append(dom)
     m = init_m0(win, dom, mutant=mutant)
@@ -606,7 +587,7 @@ def run_pipeline(
 
     for i in range(1, levels + 1):
         prev_dom = doms[-1]
-        vor = integer_voronoi(schedule.seeds[i], win.window, cover_radius=_cover(schedule, i, win))
+        vor = integer_voronoi(schedule.seeds[i], win.window, cover_radius=schedule.seed_radii[i])
         dom = grid_domain(schedule.seeds[i], schedule.ladder[i], vor, win.window, level=i)
         doms.append(dom)
 
@@ -656,11 +637,6 @@ def run_pipeline(
         margin_core=mcore,
         schedule=schedule,
     )
-
-
-def _cover(schedule: GridSchedule, level: int, win: CosetWindow) -> int | None:
-    r = schedule.seed_radii[level]
-    return r if r is not None else None
 
 
 def _report(win, dom, m, level, dirty, cp, cr, cf, core, total_a_core, volume):

@@ -6,6 +6,7 @@ All torus arithmetic is binary64; reduction modulo 1 is ``x - floor(x)``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,11 +119,17 @@ def coset_point(u: TorusPoint, n: Sequence[int], sys: FreeVectorSystem) -> Torus
     return TorusPoint(_mod1(u.array() + n @ sys.vectors))
 
 
+@functools.lru_cache(maxsize=64)
 def offsets_row_major(m_cap: int, d: int) -> np.ndarray:
-    """All integer offsets with sup-norm <= m_cap, in row-major order."""
+    """All integer offsets with sup-norm <= m_cap, in row-major order.
+
+    Cached per (m_cap, d): every caller shares one read-only array.
+    """
     ax = [np.arange(-m_cap, m_cap + 1)] * d
     grid = np.meshgrid(*ax, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, d)
+    offs = np.stack(grid, axis=-1).reshape(-1, d)
+    offs.flags.writeable = False
+    return offs
 
 
 def translation_set(sys: FreeVectorSystem):

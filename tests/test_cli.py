@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eqdec
 from eqdec.cli import main
 from eqdec.io_render import load_run
 
@@ -59,6 +63,27 @@ def test_square_and_verify_and_render(tmp_path):
     bad = out / "bad.eqdc"
     bad.write_bytes(bytes(raw))
     assert run_cli("verify", bad) == 1
+
+
+def _cli_process(*args):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows its traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eqdec.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "eqdec.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command, code, stream", [("verify", 1, "stdout"), ("render", 2, "stderr")])
+def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
+    proc = _cli_process(command, tmp_path / "missing.eqdc")
+    assert proc.returncode == code
+    text = proc.stdout + proc.stderr
+    assert "Traceback" not in text
+    assert len(text.splitlines()) == 1
+    line = getattr(proc, stream)
+    assert line.startswith("FAIL: " if command == "verify" else "error: ")
+    assert "missing.eqdc" in line
 
 
 def test_verify_catches_double_matched_cell(tmp_path):

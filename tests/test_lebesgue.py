@@ -1,15 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from eqdec.cli import _setup
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
 from eqdec.lebesgue import (
+    _refine_all,
     build_schedule,
     grid_domain,
     init_m0,
     integer_voronoi,
     prune_cross_cube,
-    refine_cube,
     rematch_dirty_cubes,
     run_pipeline,
     uncovered_ball_density,
@@ -100,6 +103,74 @@ def test_grid_domain_bisector_gap_and_density():
     assert 0 < d0 <= d4 <= 1
 
 
+def _grid_domain_reference(owner, seeds, n_cube, window):
+    """Whole-window scan per seed: the cube tiling grid_domain must reproduce."""
+    low = np.array(window.low)
+    sides = np.array(window.sides)
+    cube_id = np.full(window.sides, -1, dtype=np.int32)
+    lows, seed_of = [], []
+    for si, s in enumerate(seeds):
+        start = (s - low) % n_cube
+        count = (sides - start) // n_cube
+        if np.any(count <= 0):
+            continue
+        region = tuple(slice(int(a), int(a + c * n_cube)) for a, c in zip(start, count))
+        shape = []
+        for c in count:
+            shape.extend([int(c), n_cube])
+        blocks = (owner[region] == si).reshape(shape)
+        for ax in range(window.d - 1, -1, -1):
+            blocks = blocks.all(axis=2 * ax + 1)
+        for idx in np.argwhere(blocks):
+            cube_lo = idx * n_cube + start
+            cube_id[tuple(slice(int(c), int(c) + n_cube) for c in cube_lo)] = len(lows)
+            lows.append(cube_lo + low)
+            seed_of.append(si)
+    cube_lows = np.array(lows, dtype=np.int64).reshape(-1, window.d)
+    return cube_id, cube_lows, np.array(seed_of, dtype=np.int32)
+
+
+def test_grid_domain_matches_whole_window_reference():
+    rng = np.random.default_rng(11)
+    ties = 0
+    for case in range(160):
+        d = 2 if case % 2 else 3
+        sides = tuple(int(x) for x in rng.integers(1, 40 if d == 2 else 14, d))
+        R = Rect(tuple(int(x) for x in rng.integers(-20, 20, d)), sides)
+        count = int(rng.integers(1, min(12, R.volume()) + 1))
+        rel = rng.choice(R.volume(), size=count, replace=False)
+        cells = np.array(np.unravel_index(rel, sides)).T + np.array(R.low)
+        S = CellSet.from_cells([tuple(int(x) for x in c) for c in cells], R)
+        n_cube = int(rng.choice([1, 2, 4, 8]))
+        dist = np.abs(R.cells()[:, None, :] - S.cells()[None, :, :]).max(axis=2)
+        covering = int(dist.min(axis=1).max())
+        for cover_radius in (None, covering + int(rng.integers(0, 3))):
+            owner, seeds = integer_voronoi(S, R, cover_radius=cover_radius)
+            ties += int((owner < 0).any())
+            dom = grid_domain(S, n_cube, (owner, seeds), R)
+            ref = _grid_domain_reference(owner, seeds, n_cube, R)
+            for got, want in zip((dom.cube_id, dom.cube_lows, dom.cube_seed), ref):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+    assert ties > 50  # sup-norm ties (owner -1) are well represented
+
+
+# SHA-256 of a_match + b_match bytes for `eqdec square --window 256 --ladder L
+# --levels 1` at the default seed 7; a pure refactor must leave these unchanged.
+GOLDEN_SQUARE = {
+    (8, 32): "a1cd402033f2aad249bc78f54566fa5da93064da1c04143975ec010cd26b3d19",
+    (2, 4, 8, 16): "fd8d012cd5f089b859651cee2faaedea5a86f8411f0dce44421563a5d9a290d7",
+}
+
+
+@pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
+def test_square_run_golden_hash(ladder):
+    win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 256})
+    m = run_pipeline(win, build_schedule(win, ladder, 1), 1).matching
+    digest = hashlib.sha256(m.a_match.tobytes() + m.b_match.tobytes()).hexdigest()
+    assert digest == GOLDEN_SQUARE[ladder]
+
+
 def test_init_m0_edges_inside_cubes_and_oracle_size():
     win = _window(64)
     sched = build_schedule(win, (8, 32), levels=0)
@@ -157,10 +228,8 @@ def test_rematch_and_refine_reach_per_cube_maximum():
     m3.validate(win.a_bits.bits, win.b_bits.bits)
     dirty_set = set(dirty.tolist())
     g = TranslationGraph(win, win.sys.m_cap)
-    for ci in range(len(dom1.cube_lows)):
-        if ci in dirty_set:
-            continue
-        refine_cube(m3, dom1, ci, dom0, win)
+    clean_ids = [ci for ci in range(len(dom1.cube_lows)) if ci not in dirty_set]
+    _refine_all(m3, dom1, dom0, win, clean_ids)
     m3.validate(win.a_bits.bits, win.b_bits.bits)
     from eqdec.matching import bounded_augmenting_path, Matching
 
@@ -190,24 +259,25 @@ def test_refine_single_flip_instance():
     m2 = prune_cross_cube(m, dom1)
     m3, dirty = rematch_dirty_cubes(m2, dom1, dom0, win)
     assert len(dirty) == 0
-    refine_cube(m3, dom1, 0, dom0, win)
+    _refine_all(m3, dom1, dom0, win, [0])
     assert m3.size() == 1
     assert m3.partner_of((1, 3)) == (1, 5)
 
 
 def test_refine_requires_clean_cube():
     win = _window(64)
-    sched = build_schedule(win, (8, 32), levels=1)
+    # a level-0 net of sparsity 32 gives several level-0 cells, so dirty cubes
+    sched = build_schedule(win, (4, 16, 32), levels=1)
     vor0 = integer_voronoi(sched.seeds[0], win.window)
-    dom0 = grid_domain(sched.seeds[0], 8, vor0, win.window, 0)
+    dom0 = grid_domain(sched.seeds[0], 4, vor0, win.window, 0)
     m = init_m0(win, dom0)
     vor1 = integer_voronoi(sched.seeds[1], win.window)
-    dom1 = grid_domain(sched.seeds[1], 32, vor1, win.window, 1)
+    dom1 = grid_domain(sched.seeds[1], 16, vor1, win.window, 1)
     m2 = prune_cross_cube(m, dom1)
     _, dirty = rematch_dirty_cubes(m2, dom1, dom0, win)
-    if len(dirty):
-        with pytest.raises(ArgumentError):
-            refine_cube(m2, dom1, int(dirty[0]), dom0, win)
+    assert len(dirty)
+    with pytest.raises(ArgumentError):
+        _refine_all(m2, dom1, dom0, win, [int(dirty[0])])
 
 
 def test_run_pipeline_identity_instance():

@@ -14,6 +14,7 @@ from eqdec.torus import (
     boundary_dimension_estimate,
     coset_point,
     integer_relation_scan,
+    offsets_row_major,
     sample_free_system,
     shape_from_json,
     translation_set,
@@ -90,6 +91,14 @@ def test_translation_set_count_and_order():
     assert len(ts3) == 27
     assert ts3[0][0] == (-1, -1, -1)
     assert ts3[-1][0] == (1, 1, 1)
+
+
+def test_offsets_row_major_shared_and_read_only():
+    offs = offsets_row_major(2, 2)
+    assert offs is offsets_row_major(2, 2)
+    assert offs.shape == (25, 2) and tuple(offs[0]) == (-2, -2) and tuple(offs[1]) == (-2, -1)
+    with pytest.raises(ValueError):
+        offs[0, 0] = 0
 
 
 def test_translation_set_negation_closure():
