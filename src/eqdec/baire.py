@@ -9,12 +9,12 @@ configured horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from eqdec.errors import ArgumentError, ExtendabilityError, PrecisionError
-from eqdec.lattice import CellSet, Rect, boundary, dilate, ell_components, perimeter
+from eqdec.lattice import CellSet, Rect, dilate, ell_components, perimeter
 from eqdec.matching import (
     Matching,
     TranslationGraph,

@@ -1,5 +1,5 @@
-"""Uniformity audits: sliding binary-cube discrepancy, density deviations,
-boundary-normalized discrepancy sampling, and growth-exponent profiles.
+"""Uniformity audits: sliding binary-cube discrepancy, growth-exponent
+profiles and summability of a deviation budget.
 """
 
 from __future__ import annotations
@@ -12,16 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from eqdec.errors import ArgumentError
-from eqdec.lattice import CellSet, Rect, perimeter
+from eqdec.lattice import CellSet, Rect
 
 __all__ = [
     "UniformityBudget",
     "DiscrepancyProfile",
     "block_sums",
     "cube_discrepancy",
-    "rect_discrepancy_pair",
-    "density_discrepancy",
-    "laczkovich_bound_audit",
     "profile",
     "summability_report",
 ]
@@ -111,71 +108,6 @@ def cube_discrepancy(X: CellSet, delta: float, i: int, window: Rect) -> float:
     counts = block_sums(bits, size)
     target = delta * float(size ** window.d)
     return float(np.abs(counts - target).max())
-
-
-def rect_discrepancy_pair(A: CellSet, B: CellSet, Y: CellSet) -> int:
-    """| |A ∩ Y| - |B ∩ Y| | for a finite probe set Y."""
-    if A.rect == Y.rect and B.rect == Y.rect:
-        a = int((A.bits & Y.bits).sum())
-        b = int((B.bits & Y.bits).sum())
-    else:
-        cells = Y.cells()
-        a = sum(1 for c in cells if A.contains(c))
-        b = sum(1 for c in cells if B.contains(c))
-    return abs(a - b)
-
-
-def density_discrepancy(X: CellSet, delta: float, R: Rect) -> float:
-    """| |X ∩ R| - delta |R| |."""
-    if X.rect.contains_rect(R):
-        count = int(_window_bits(X, R).sum())
-    else:
-        count = sum(1 for c in R.cells() if X.contains(c))
-    return float(abs(count - delta * R.volume()))
-
-
-def _random_probe(rng, window: Rect) -> CellSet:
-    """A random finite probe: union of rectangles or a random-walk blob."""
-    d = window.d
-    bits = np.zeros(window.sides, dtype=bool)
-    if rng.random() < 0.5:
-        for _ in range(rng.integers(1, 4)):
-            lo, sl = [], []
-            for s in window.sides:
-                a = int(rng.integers(0, s))
-                b = int(rng.integers(a + 1, min(s, a + max(2, s // 2)) + 1))
-                lo.append(a)
-                sl.append(slice(a, b))
-            bits[tuple(sl)] = True
-    else:
-        pos = np.array([rng.integers(0, s) for s in window.sides])
-        steps = int(rng.integers(20, 200))
-        for _ in range(steps):
-            bits[tuple(pos)] = True
-            ax = int(rng.integers(0, d))
-            pos[ax] = np.clip(pos[ax] + rng.choice([-1, 1]), 0, window.sides[ax] - 1)
-        bits[tuple(pos)] = True
-    return CellSet(window, bits)
-
-
-def laczkovich_bound_audit(X: CellSet, delta: float, samples: int, seed: int):
-    """Max sampled ratio of density discrepancy to perimeter over random probes.
-
-    Estimates the constant relating D_delta(X; Y) to p(Y) over finite probes Y.
-    """
-    if samples < 1:
-        raise ArgumentError("samples must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst = 0.0
-    window = X.rect
-    for _ in range(samples):
-        Y = _random_probe(rng, window)
-        if Y.size() == 0:
-            continue
-        count = int((X.bits & Y.bits).sum())
-        dev = abs(count - delta * Y.size())
-        worst = max(worst, dev / perimeter(Y))
-    return worst
 
 
 def profile(X: CellSet, delta: float, window: Rect, i_max: int) -> DiscrepancyProfile:

@@ -166,22 +166,32 @@ def load_run(path):
         manifest = json.loads(data[pos:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise LoadError("manifest unreadable") from e
-    hashes = manifest.get("hashes", {})
+    hashes = manifest.get("hashes") if isinstance(manifest, dict) else None
+    if not isinstance(hashes, dict):
+        raise LoadError("manifest is not an object with section hashes")
     for name, raw in (("a_bits", a_raw), ("b_bits", b_raw), ("pieces", p_raw)):
         if hashlib.sha256(raw).hexdigest() != hashes.get(name):
             raise LoadError(f"hash mismatch in section {name}")
-    sys_cfg = manifest["config"]["system"]
-    vectors = np.array(
-        [[float.fromhex(h) for h in row] for row in sys_cfg["vectors_hex"]]
-    )
-    sys = FreeVectorSystem(
-        k=sys_cfg["k"],
-        d=sys_cfg["d"],
-        vectors=vectors,
-        m_cap=sys_cfg["m_cap"],
-        rng_seed=sys_cfg["rng_seed"],
-    )
-    base = TorusPoint([float.fromhex(h) for h in sys_cfg["base_hex"]])
+    try:
+        sys_cfg = manifest["config"]["system"]
+        vectors = np.array(
+            [[float.fromhex(h) for h in row] for row in sys_cfg["vectors_hex"]]
+        )
+        sys = FreeVectorSystem(
+            k=sys_cfg["k"],
+            d=sys_cfg["d"],
+            vectors=vectors,
+            m_cap=sys_cfg["m_cap"],
+            rng_seed=sys_cfg["rng_seed"],
+        )
+        base = TorusPoint([float.fromhex(h) for h in sys_cfg["base_hex"]])
+    except (KeyError, TypeError, ValueError) as e:
+        raise LoadError(f"manifest system config malformed: {e!r}") from e
+    if (sys.d, sys.k, sys.m_cap) != (d, k, m_cap):
+        raise LoadError(
+            f"header (d, k, M) = {(d, k, m_cap)} disagrees with the manifest system "
+            f"{(sys.d, sys.k, sys.m_cap)}"
+        )
     a_bits = _unpack_bits(a_raw, sides)
     b_bits = _unpack_bits(b_raw, sides)
     win = CosetWindow(
@@ -193,6 +203,9 @@ def load_run(path):
         buffer=manifest["config"].get("buffer", 0),
     )
     pieces = np.frombuffer(p_raw, dtype="<u2").reshape(sides)
+    count = (2 * m_cap + 1) ** d
+    if np.any((pieces != NONE_PIECE) & (pieces >= count)):
+        raise LoadError(f"stored piece index outside the (2M+1)^d = {count} offsets")
     m = Matching(window, m_cap)
     m.a_match = np.where(pieces == NONE_PIECE, -1, pieces.astype(np.int32))
     b_match = np.full(sides, -1, dtype=np.int32)

@@ -5,7 +5,7 @@ components under bounded jumps, and the merged binary rectangle tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import maximum_filter
@@ -22,7 +22,6 @@ __all__ = [
     "internal_boundary",
     "isoperimetry_check",
     "ell_components",
-    "dist_ball",
     "build_rect_tree",
     "dilate",
 ]
@@ -77,9 +76,6 @@ class Rect:
         return tuple(
             slice(l - ol, l - ol + s) for l, s, ol in zip(self.low, self.sides, outer.low)
         )
-
-    def grow(self, m: int) -> "Rect":
-        return Rect(tuple(l - m for l in self.low), tuple(s + 2 * m for s in self.sides))
 
     def cells(self) -> np.ndarray:
         """All cells in row-major order, shape (volume, d)."""
@@ -242,18 +238,6 @@ def ell_components(X: CellSet, ell: int):
         comps.append(CellSet(X.rect, comp))
         remaining &= ~comp
     return comps
-
-
-def dist_ball(X: CellSet, m: int) -> CellSet:
-    """All cells within sup-norm distance m of X, on a rect grown by m."""
-    if m < 0:
-        raise ArgumentError("m must be >= 0")
-    if m == 0:
-        return X
-    grown = X.rect.grow(m)
-    big = np.zeros(grown.sides, dtype=bool)
-    big[tuple(slice(m, m + s) for s in X.rect.sides)] = X.bits
-    return CellSet(grown, dilate(big, m))
 
 
 # ---------------------------------------------------------------------------

@@ -270,13 +270,6 @@ def grid_domain(S: CellSet, n_cube: int, voronoi, window: Rect, level: int = 0) 
     )
 
 
-def uncovered_ball_density(dom: GridDomain, m: int) -> float:
-    """Density of the m-ball around the cells missed by the domain's cubes."""
-    from eqdec.lattice import dilate
-
-    return float(dilate(dom.cube_id < 0, m).mean())
-
-
 # ---------------------------------------------------------------------------
 # Matching phases
 
@@ -314,30 +307,35 @@ def _region_greedy(win, m, region, lows=None, mutant=False):
         )
 
 
+def _match_regions(win: CosetWindow, m: Matching, region, lows, slices_of, mutant=False):
+    """Canonical maximum matching inside every region of a region-id grid.
+
+    ``region`` holds each cell's region id (-1 outside every region), ``lows``
+    the regions' absolute corners and ``slices_of(rid)`` a region's window
+    slices. One batched greedy pass, then augmentation to maximum in each
+    region that still has a free A-cell and a free B-cell. Regions are
+    disjoint, so the order of augmentation does not change the result.
+    """
+    _region_greedy(win, m, region, lows, mutant)
+    a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
+    ids = region.ravel()
+    valid = ids >= 0
+    free_a = a_bits.ravel() & (m.a_match.ravel() < 0) & valid
+    free_b = b_bits.ravel() & (m.b_match.ravel() < 0) & valid
+    ua = np.bincount(ids[free_a], minlength=len(lows))
+    ub = np.bincount(ids[free_b], minlength=len(lows))
+    for rid in np.flatnonzero((ua > 0) & (ub > 0)):
+        sl = slices_of(int(rid))
+        augment_to_max(a_bits[sl], b_bits[sl], m.a_match[sl], m.b_match[sl], m.m_cap)
+
+
 def init_m0(win: CosetWindow, dom: GridDomain, mutant: bool = False) -> Matching:
     """Canonical maximum matching inside every level-0 cube."""
     m = Matching(win.window, win.sys.m_cap)
-    _region_greedy(win, m, dom.cube_id, dom.cube_lows, mutant)
-    _complete_cubes(win, dom, m, range(len(dom.cube_lows)))
+    _match_regions(
+        win, m, dom.cube_id, dom.cube_lows, lambda ci: _cube_slices(dom, ci, win.window), mutant
+    )
     return m
-
-
-def _complete_cubes(win: CosetWindow, dom: GridDomain, m: Matching, cube_range):
-    """Finish per-cube maximum matchings where both parts still have free cells."""
-    a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
-    ids = dom.cube_id.ravel()
-    valid = ids >= 0
-    n = len(dom.cube_lows)
-    free_a = (a_bits.ravel() & (m.a_match.ravel() < 0)) & valid
-    free_b = (b_bits.ravel() & (m.b_match.ravel() < 0)) & valid
-    ua = np.bincount(ids[free_a], minlength=n)
-    ub = np.bincount(ids[free_b], minlength=n)
-    todo = set(np.flatnonzero((ua > 0) & (ub > 0)).tolist())
-    for ci in cube_range:
-        if ci not in todo:
-            continue
-        sl = _cube_slices(dom, ci, win.window)
-        augment_to_max(a_bits[sl], b_bits[sl], m.a_match[sl], m.b_match[sl], m.m_cap)
 
 
 def prune_cross_cube(m: Matching, dom: GridDomain) -> Matching:
@@ -390,8 +388,9 @@ def rematch_dirty_cubes(
     region = np.full(dom.cube_id.shape, -1, dtype=np.int32)
     valid = dom.cube_id >= 0
     region[valid] = np.where(lookup[dom.cube_id[valid]], dom.cube_id[valid], -1)
-    _region_greedy(win, out, region, dom.cube_lows, mutant)
-    _complete_cubes(win, dom, out, dirty.tolist())
+    _match_regions(
+        win, out, region, dom.cube_lows, lambda ci: _cube_slices(dom, ci, win.window), mutant
+    )
     return out, dirty
 
 
@@ -458,19 +457,7 @@ def _refine_all(
         region = np.full(win.window.sides, -1, dtype=np.int32)
         for rid, wsl in enumerate(fresh):
             region[wsl] = rid
-        a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
-        _region_greedy(win, m3, region, np.array(fresh_lows), mutant)
-        ids = region.ravel()
-        valid = ids >= 0
-        fa = (win.a_bits.bits.ravel() & (m3.a_match.ravel() < 0)) & valid
-        fb = (win.b_bits.bits.ravel() & (m3.b_match.ravel() < 0)) & valid
-        ua = np.bincount(ids[fa], minlength=len(fresh))
-        ub = np.bincount(ids[fb], minlength=len(fresh))
-        for rid in np.flatnonzero((ua > 0) & (ub > 0)):
-            wsl = fresh[rid]
-            augment_to_max(
-                a_bits[wsl], b_bits[wsl], m3.a_match[wsl], m3.b_match[wsl], m3.m_cap
-            )
+        _match_regions(win, m3, region, np.array(fresh_lows), fresh.__getitem__, mutant)
     for ci in clean_ids:
         cube, tree = trees[ci]
         _refine_augment(m3, win, cube, tree)

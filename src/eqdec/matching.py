@@ -11,7 +11,7 @@ content translates the matching.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "bounded_augmenting_path",
     "flip",
     "hall_deficiency",
-    "expansion_audit",
 ]
 
 DEBUG_VALIDATE = bool(os.environ.get("EQDEC_DEBUG"))
@@ -530,37 +529,3 @@ def hall_deficiency(
         return HallCertificate(side="B", cells=cells, neighborhood_size=nb)
     return None
 
-
-def expansion_audit(g: TranslationGraph, R: Rect, sample_sets: int, seed: int):
-    """Worst sampled neighbourhood margin against the two-sided expansion floor.
-
-    Diagnostic only: samples connected subsets of A inside R (grown by jumps
-    of at most M) and reports |Γ(X)| - min(|X| + 10 d |X|^((d-1)/d), |B∩R|/2).
-    """
-    if R.balance() > 3 + 1e-9:
-        raise ArgumentError("R must be 3-balanced")
-    a_bits, b_bits = _local_bits(g, R)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    d = R.d
-    total_b = int(b_bits.sum())
-    margins = []
-    a_cells = np.argwhere(a_bits)
-    if len(a_cells) == 0:
-        return None, []
-    for _ in range(sample_sets):
-        start = a_cells[rng.integers(0, len(a_cells))]
-        X = np.zeros_like(a_bits)
-        X[tuple(start)] = True
-        target = int(rng.integers(1, max(2, len(a_cells) // 4)))
-        while int(X.sum()) < target:
-            grown = dilate(X, g.m_cap) & a_bits & ~X
-            idx = np.argwhere(grown)
-            if len(idx) == 0:
-                break
-            take = idx[rng.integers(0, len(idx), size=min(len(idx), 8))]
-            X[tuple(take.T)] = True
-        size = int(X.sum())
-        gamma = int((dilate(X, g.m_cap) & b_bits).sum())
-        floor = min(size + 10 * d * size ** ((d - 1) / d), total_b / 2)
-        margins.append(gamma - floor)
-    return (min(margins) if margins else None), margins

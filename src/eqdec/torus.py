@@ -27,9 +27,7 @@ __all__ = [
     "BoxDimensionEstimate",
     "coset_point",
     "sample_free_system",
-    "translation_set",
     "boundary_dimension_estimate",
-    "integer_relation_scan",
     "shape_from_json",
     "torus_delta",
 ]
@@ -75,7 +73,9 @@ class FreeVectorSystem:
     """d generating torus vectors plus the translation radius ``m_cap``.
 
     The generators are treated as free: no small integer combination is the
-    zero element (see ``integer_relation_scan`` for the diagnostic).
+    zero element. Every net build checks this up to its radius
+    (``window._min_translation_distance``) and raises ``PrecisionError`` when
+    it fails.
     """
 
     k: int
@@ -130,45 +130,6 @@ def offsets_row_major(m_cap: int, d: int) -> np.ndarray:
     offs = np.stack(grid, axis=-1).reshape(-1, d)
     offs.flags.writeable = False
     return offs
-
-
-def translation_set(sys: FreeVectorSystem):
-    """Enumerate (offset, torus vector) pairs for the whole translation set."""
-    offs = offsets_row_major(sys.m_cap, sys.d)
-    vecs = _mod1(offs @ sys.vectors)
-    return [(tuple(int(x) for x in o), TorusPoint(v)) for o, v in zip(offs, vecs)]
-
-
-def integer_relation_scan(sys: FreeVectorSystem, coeff_cap: int = 1000, tol: float = 1e-9):
-    """Search for small integer relations among the generators.
-
-    Exhaustive over coefficient boxes for d == 2; for d >= 3 only pairs of
-    generators get the exhaustive treatment (the full box is infeasible).
-    Returns the worst (coeffs, residual) found below ``tol``, or None.
-    """
-    worst = None
-
-    def scan(mat):
-        nonlocal worst
-        r = np.arange(-coeff_cap, coeff_cap + 1)
-        a, b = np.meshgrid(r, r, indexing="ij")
-        coef = np.stack([a.ravel(), b.ravel()], axis=-1)
-        coef = coef[np.any(coef != 0, axis=1)]
-        # chunked to keep memory modest
-        for lo in range(0, len(coef), 1 << 18):
-            c = coef[lo : lo + (1 << 18)]
-            res = torus_delta(_mod1(c.astype(np.float64) @ mat), 0.0).max(axis=1)
-            i = int(np.argmin(res))
-            if res[i] < tol and (worst is None or res[i] < worst[1]):
-                worst = (tuple(int(x) for x in c[i]), float(res[i]))
-
-    if sys.d == 2:
-        scan(sys.vectors)
-    else:
-        for i in range(sys.d):
-            for j in range(i + 1, sys.d):
-                scan(sys.vectors[[i, j]])
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ __all__ = [
     "extract_window",
     "build_sparse_coloring",
     "greedy_sparse_net",
-    "apply_local_rule",
     "equivariance_check",
     "torus_coords",
 ]
@@ -190,26 +189,6 @@ def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> Cel
             )
             covered.reshape(sides)[sl] = True
     return CellSet(win.window, net)
-
-
-def apply_local_rule(grid: np.ndarray, rule: Callable, r: int):
-    """Apply a radius-r rule to every cell's patch.
-
-    Patches are padded with zeros at the window edge; cells within r of the
-    edge are reported tainted. Returns (output grid, taint mask).
-    """
-    g = np.asarray(grid)
-    d = g.ndim
-    padded = np.pad(g, r, mode="constant")
-    out = np.empty_like(g)
-    taint = np.ones(g.shape, dtype=bool)
-    core = tuple(slice(r, s - r) for s in g.shape)
-    if all(s > 2 * r for s in g.shape):
-        taint[core] = False
-    for idx in np.ndindex(*g.shape):
-        patch = padded[tuple(slice(i, i + 2 * r + 1) for i in idx)]
-        out[idx] = rule(patch)
-    return out, taint
 
 
 def equivariance_check(

@@ -5,9 +5,7 @@ The heavyweight runs are module-scoped fixtures shared between criteria.
 """
 
 import hashlib
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

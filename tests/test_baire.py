@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -337,3 +339,14 @@ def test_run_baire_small_end_to_end():
     res.matching.validate(win.a_bits.bits, win.b_bits.bits)
     total = sum(r.added for r in res.reports)
     assert res.matching.size() == total > 0
+
+
+# SHA-256 of a_match + b_match bytes for the run above; a pure refactor must
+# leave it unchanged.
+GOLDEN_BAIRE = "fde52dd9713810291d113b992d112cb3899594830bc7d979ffefefa2870cee58"
+
+
+def test_baire_run_golden_hash():
+    m = run_baire(_window(384), (8, 24), seed=11, net_cap=6).matching
+    digest = hashlib.sha256(m.a_match.tobytes() + m.b_match.tobytes()).hexdigest()
+    assert digest == GOLDEN_BAIRE

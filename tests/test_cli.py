@@ -1,6 +1,8 @@
+import importlib
 import json
 import os
-import shutil
+import pkgutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +88,27 @@ def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
     assert "missing.eqdc" in line
 
 
+@pytest.mark.parametrize("tamper", ["no-system", "header-m7"])
+def test_verify_malformed_run_is_one_line_fail(tmp_path, tamper):
+    out = tmp_path / "sq"
+    assert run_cli("square", "--window", 64, "--seed", 3, "--out", out, "--ladder", "8") == 0
+    raw = (out / "square.eqdc").read_bytes()
+    if tamper == "header-m7":
+        raw = raw[:16] + struct.pack("<I", 7) + raw[20:]
+    else:
+        pos = raw.rindex(b'{"config":')
+        manifest = json.loads(raw[pos:])
+        del manifest["config"]["system"]
+        raw = raw[:pos] + json.dumps(manifest).encode()
+    bad = tmp_path / "bad.eqdc"
+    bad.write_bytes(raw)
+    proc = _cli_process("verify", bad)
+    assert proc.returncode == 1
+    text = proc.stdout + proc.stderr
+    assert "Traceback" not in text
+    assert len(text.splitlines()) == 1 and proc.stdout.startswith("FAIL: ")
+
+
 def test_verify_catches_double_matched_cell(tmp_path):
     out = tmp_path / "sq"
     assert run_cli("square", "--window", 64, "--seed", 3, "--out", out, "--ladder", "8") == 0
@@ -150,3 +173,15 @@ def test_baire_cli_small(tmp_path):
 
 def test_lemma_tests_single_suite():
     assert run_cli("lemma-tests", "--suite", "isoperimetry", "--seed", 3) == 0
+
+
+def test_every_all_entry_resolves():
+    names = [f"eqdec.{info.name}" for info in pkgutil.iter_modules(eqdec.__path__)]
+    modules = [eqdec] + [importlib.import_module(n) for n in names]
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert not missing

@@ -5,10 +5,7 @@ from eqdec.discrepancy import (
     UniformityBudget,
     block_sums,
     cube_discrepancy,
-    density_discrepancy,
-    laczkovich_bound_audit,
     profile,
-    rect_discrepancy_pair,
     summability_report,
 )
 from eqdec.errors import ArgumentError
@@ -69,64 +66,6 @@ def test_block_sums_d3():
     out = block_sums(arr, 2)
     assert out.shape == (4, 5, 3)
     assert out[1, 2, 1] == arr[1:3, 2:4, 1:3].sum()
-
-
-def test_rect_discrepancy_pair():
-    R = Rect((0, 0), (8, 8))
-    bits = np.zeros((8, 8), dtype=bool)
-    bits[:2] = True
-    A = CellSet(R, bits)
-    assert rect_discrepancy_pair(A, A, CellSet(R, np.ones((8, 8), bool))) == 0
-    B = CellSet.empty(R)
-    Y = CellSet(R, bits)
-    assert rect_discrepancy_pair(A, B, Y) == 16
-
-    rng = np.random.default_rng(8)
-    win = Rect((0, 0), (64, 64))
-    a = CellSet(win, rng.random((64, 64)) < 0.4)
-    b = CellSet(win, rng.random((64, 64)) < 0.4)
-    for _ in range(50):
-        x0, y0 = rng.integers(0, 56, 2)
-        w, h = rng.integers(1, 8, 2)
-        bits = np.zeros((64, 64), dtype=bool)
-        bits[x0 : x0 + w, y0 : y0 + h] = True
-        Y = CellSet(win, bits)
-        naive = abs(
-            sum(1 for c in Y.cells() if a.contains(c))
-            - sum(1 for c in Y.cells() if b.contains(c))
-        )
-        assert rect_discrepancy_pair(a, b, Y) == naive
-
-
-def test_density_discrepancy():
-    R = Rect((0, 0), (10, 10))
-    X = CellSet(R, np.ones((10, 10), bool))
-    assert density_discrepancy(X, 1.0, R) == 0.0
-    assert density_discrepancy(CellSet.empty(R), 0.3, R) == pytest.approx(30.0)
-
-
-def test_density_discrepancy_binomial_concentration():
-    R = Rect((0, 0), (128, 128))
-    hits = 0
-    for seed in range(1000):
-        rng = np.random.default_rng(seed)
-        X = CellSet(R, rng.random((128, 128)) < 0.5)
-        d = density_discrepancy(X, 0.5, R)
-        if d <= 4 * np.sqrt(R.volume() * 0.25):
-            hits += 1
-    assert hits >= 990
-
-
-def test_laczkovich_audit_striped_and_empty():
-    R = Rect((0, 0), (32, 32))
-    stripes = CellSet(R, (np.indices((32, 32))[1] % 2) == 0)
-    ratio = laczkovich_bound_audit(stripes, 0.5, 1000, seed=3)
-    assert ratio <= 0.5 + 1e-9
-    # for the empty set the ratio reduces to delta |Y| / p(Y)
-    empty = CellSet.empty(R)
-    r1 = laczkovich_bound_audit(empty, 0.5, 200, seed=5)
-    assert r1 > 0
-    assert r1 == laczkovich_bound_audit(empty, 0.5, 200, seed=5)  # determinism
 
 
 def test_profile_empty_set_exponent_is_d():
@@ -202,29 +141,3 @@ def test_slice_uniformity_lifts_dimension():
         )
         assert d3 <= (1 << i) * worst_slice + 1e-9
 
-
-def test_special_rectangle_subadditivity():
-    # transforming an N-cube into a nearby rectangle: D(R) is controlled by
-    # D of the cube, the d side-slabs, and the corner-correction term
-    rng = np.random.default_rng(21)
-    win = Rect((0, 0), (40, 40))
-    for _ in range(1000):
-        a = CellSet(win, rng.random((40, 40)) < 0.5)
-        b = CellSet(win, rng.random((40, 40)) < 0.5)
-        N = int(rng.integers(6, 16))
-        n = int(rng.integers(1, N // 2))
-        r0 = int(rng.integers(N - n, N + n + 1))
-        r1 = int(rng.integers(N - n, N + n + 1))
-
-        def D(x0, x1, y0, y1):
-            if x1 <= x0 or y1 <= y0:
-                return 0
-            bits = np.zeros((40, 40), dtype=bool)
-            bits[x0:x1, y0:y1] = True
-            return rect_discrepancy_pair(a, b, CellSet(win, bits))
-
-        lhs = D(0, r0, 0, r1)
-        cube = D(0, N, 0, N)
-        slabs = D(N, r0, 0, N) + D(0, N, N, r1) + D(min(N, r0), N, 0, N) + D(0, N, min(N, r1), N)
-        corner = 2 * 1 * n * n  # d * C(d,2) * n^2 * N^(d-2) at d = 2
-        assert lhs <= cube + slabs + corner + 1e-9

@@ -1,11 +1,12 @@
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from eqdec.errors import ArgumentError, LoadError
 from eqdec.io_render import (
-    NONE_PIECE,
     PieceMap,
     load_run,
     piece_palette,
@@ -75,6 +76,40 @@ def test_corruption_detected(tmp_path):
     bad3.write_bytes(path.read_bytes()[:200])
     with pytest.raises(LoadError, match="truncated"):
         load_run(bad3)
+
+
+def _manifest_m7(doc):
+    doc["config"]["system"]["m_cap"] = 7
+    return doc
+
+
+@pytest.mark.parametrize(
+    "header_m, edit, match",
+    [
+        (None, lambda doc: {**doc, "config": {}}, "system config malformed"),
+        (None, lambda doc: [doc], "not an object"),
+        (7, None, "disagrees with the manifest"),
+        # header and manifest agree on M=7; the pieces still use M=8's offsets
+        (7, _manifest_m7, "piece index outside"),
+    ],
+    ids=["no-system", "manifest-not-object", "header-m7", "header-and-manifest-m7"],
+)
+def test_malformed_header_or_manifest_rejected(tmp_path, header_m, edit, match):
+    win, m = small_run()
+    assert (m.a_match >= 15**2).any()  # some piece index needs M=8
+    path = tmp_path / "run.eqdc"
+    save_run(path, win, m)
+    raw = path.read_bytes()
+    if header_m is not None:
+        raw = raw[:16] + struct.pack("<I", header_m) + raw[20:]  # M follows magic, d, k
+    pos = raw.rindex(b'{"config":')  # the manifest runs to end of file
+    manifest = json.loads(raw[pos:])
+    if edit is not None:
+        manifest = edit(manifest)
+    bad = tmp_path / "bad.eqdc"
+    bad.write_bytes(raw[:pos] + json.dumps(manifest).encode())
+    with pytest.raises(LoadError, match=match):
+        load_run(bad)
 
 
 def test_piece_count_bound():

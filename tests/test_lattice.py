@@ -7,7 +7,6 @@ from eqdec.lattice import (
     Rect,
     boundary,
     build_rect_tree,
-    dist_ball,
     ell_components,
     internal_boundary,
     isoperimetry_check,
@@ -146,16 +145,6 @@ def test_ell_components_match_union_find():
                 frozenset(map(tuple, c.cells())) for c in ell_components(X, ell)
             )
             assert ours == uf_components(X.cells(), ell)
-
-
-def test_dist_ball():
-    single = CellSet.from_cells([(0, 0)])
-    assert dist_ball(single, 0).size() == 1
-    assert dist_ball(single, 1).size() == 9
-    two = CellSet.from_cells([(0, 0), (3, 0)], Rect((0, 0), (4, 1)))
-    assert dist_ball(two, 1).size() == 18  # two disjoint 3x3 blocks
-    near = CellSet.from_cells([(0, 0), (2, 0)], Rect((0, 0), (3, 1)))
-    assert dist_ball(near, 1).size() == 15  # blocks overlap in one column
 
 
 def test_rect_tree_aligned_grid():

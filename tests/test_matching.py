@@ -8,10 +8,10 @@ from eqdec.matching import (
     TranslationGraph,
     bounded_augmenting_path,
     canonical_max_matching,
-    expansion_audit,
     flip,
     hall_deficiency,
 )
+from eqdec.suites import _bfs_oracle, _enumerate_feasible, _random_matching
 from eqdec.torus import TorusPoint, offsets_row_major, sample_free_system
 from eqdec.window import CosetWindow
 
@@ -93,66 +93,6 @@ def test_canonical_matching_translation_covariant():
     assert np.array_equal(m1.b_match, m2.b_match)
 
 
-def python_bfs_shortest_augmenting(a_bits, b_bits, m, offsets, m_cap):
-    from collections import deque
-
-    sides = a_bits.shape
-    starts = [tuple(c) for c in np.argwhere(a_bits & (m.a_match < 0))]
-    dist = {(c, "A"): 0 for c in starts}
-    q = deque((c, "A") for c in starts)
-    best = None
-    while q:
-        cell, part = q.popleft()
-        d0 = dist[(cell, part)]
-        if best is not None and d0 >= best:
-            continue
-        if part == "A":
-            for k, off in enumerate(offsets):
-                nb = tuple(int(c + o) for c, o in zip(cell, off))
-                if any(p < 0 or p >= s for p, s in zip(nb, sides)):
-                    continue
-                if not b_bits[nb] or (nb, "B") in dist:
-                    continue
-                if m.a_match[cell] == k:
-                    continue
-                dist[(nb, "B")] = d0 + 1
-                if m.b_match[nb] < 0:
-                    best = d0 + 1 if best is None else min(best, d0 + 1)
-                else:
-                    q.append((nb, "B"))
-        else:
-            k = m.b_match[cell]
-            if k < 0:
-                continue
-            src = tuple(int(c - o) for c, o in zip(cell, offsets[k]))
-            if (src, "A") not in dist:
-                dist[(src, "A")] = d0 + 1
-                q.append((src, "A"))
-    return best
-
-
-def random_partial_matching(rng, a_bits, b_bits, m_cap):
-    m = Matching(Rect((0, 0), a_bits.shape), m_cap)
-    offsets = offsets_row_major(m_cap, 2)
-    cells = np.argwhere(a_bits)
-    rng.shuffle(cells)
-    for cell in cells:
-        if rng.random() < 0.4:
-            continue
-        cand = []
-        for k, off in enumerate(offsets):
-            nb = tuple(int(c + o) for c, o in zip(cell, off))
-            if any(p < 0 or p >= s for p, s in zip(nb, a_bits.shape)):
-                continue
-            if b_bits[nb] and m.b_match[nb] < 0:
-                cand.append((k, nb))
-        if cand:
-            k, nb = cand[int(rng.integers(0, len(cand)))]
-            m.a_match[tuple(cell)] = k
-            m.b_match[nb] = k
-    return m
-
-
 def test_bounded_augmenting_path_trivial():
     R = Rect((0, 0), (3, 3))
     a = np.zeros((3, 3), dtype=bool)
@@ -177,10 +117,10 @@ def test_bounded_augmenting_path_vs_uncapped_oracle():
     for _ in range(1000):
         a = rng.random((10, 10)) < 0.3
         b = rng.random((10, 10)) < 0.3
-        m = random_partial_matching(rng, a, b, 2)
+        m = _random_matching(rng, a, b, 2)
         win = bits_window(a, b, 2)
         g = TranslationGraph(win, 2)
-        oracle = python_bfs_shortest_augmenting(a, b, m, offsets, 2)
+        oracle = _bfs_oracle(a, b, m.a_match, m.b_match, offsets, 2)
         for cap in (1, 3, 5, 10):
             path = bounded_augmenting_path(g, R, m, cap)
             if oracle is not None and oracle <= cap:
@@ -215,24 +155,6 @@ def test_flip_rejects_bad_paths():
         flip(m, [(0, 0)])
     with pytest.raises(ArgumentError):
         flip(m, [(0, 0), (3, 3)])  # not an alternating structure on matched cells
-
-
-def enumerate_cover_feasible(edges, req_a, req_b):
-    req_a, req_b = set(req_a), set(req_b)
-
-    def rec(i, used_a, used_b):
-        if req_a <= used_a and req_b <= used_b:
-            return True
-        if i == len(edges):
-            return False
-        if rec(i + 1, used_a, used_b):
-            return True
-        a, b = edges[i]
-        if a not in used_a and b not in used_b:
-            return rec(i + 1, used_a | {a}, used_b | {b})
-        return False
-
-    return rec(0, set(), set())
 
 
 def test_hall_deficiency_examples():
@@ -280,25 +202,7 @@ def test_hall_deficiency_vs_enumeration():
         ra = CellSet.from_cells(req_a, R) if req_a else CellSet.empty(R)
         rb = CellSet.from_cells(req_b, R) if req_b else CellSet.empty(R)
         cert = hall_deficiency(g, R, ra, rb)
-        assert (cert is None) == enumerate_cover_feasible(edges, req_a, req_b)
-
-
-def test_expansion_audit_complete_graph():
-    rng = np.random.default_rng(2)
-    R = Rect((0, 0), (6, 6))
-    a = rng.random((6, 6)) < 0.5
-    b = np.ones((6, 6), dtype=bool)
-    win = bits_window(a, b, 6)  # M >= side: complete bipartite graph
-    g = TranslationGraph(win, 6)
-    worst, margins = expansion_audit(g, R, 50, seed=1)
-    total_b = 36
-    for margin, size in zip(margins, margins):
-        pass
-    # |Γ(X)| = |B| for every X, so margins are >= 0 whenever the floor is B/2
-    assert worst is not None
-    assert worst >= min(0, total_b / 2 - total_b)  # sanity: audit ran
-    with pytest.raises(ArgumentError):
-        expansion_audit(g, Rect((0, 0), (2, 12)), 5, seed=0)
+        assert (cert is None) == _enumerate_feasible(edges, req_a, req_b)
 
 
 def test_matching_validate_catches_corruption():

@@ -13,11 +13,9 @@ from eqdec.torus import (
     TorusPoint,
     boundary_dimension_estimate,
     coset_point,
-    integer_relation_scan,
     offsets_row_major,
     sample_free_system,
     shape_from_json,
-    translation_set,
 )
 
 
@@ -82,34 +80,12 @@ def test_sample_free_system_validation():
         sample_free_system(7, 2, 2, 0)
 
 
-def test_translation_set_count_and_order():
-    sys = sample_free_system(7, 2, 2, 3)
-    ts = translation_set(sys)
-    assert len(ts) == 49
-    sys3 = sample_free_system(7, 2, 3, 1)
-    ts3 = translation_set(sys3)
-    assert len(ts3) == 27
-    assert ts3[0][0] == (-1, -1, -1)
-    assert ts3[-1][0] == (1, 1, 1)
-
-
 def test_offsets_row_major_shared_and_read_only():
     offs = offsets_row_major(2, 2)
     assert offs is offsets_row_major(2, 2)
     assert offs.shape == (25, 2) and tuple(offs[0]) == (-2, -2) and tuple(offs[1]) == (-2, -1)
     with pytest.raises(ValueError):
         offs[0, 0] = 0
-
-
-def test_translation_set_negation_closure():
-    sys = sample_free_system(12, 2, 2, 2)
-    ts = dict(translation_set(sys))
-    for off, vec in ts.items():
-        neg = tuple(-o for o in off)
-        assert neg in ts
-        back = np.array(ts[neg].coords) + np.array(vec.coords)
-        back -= np.floor(back + 1e-12)
-        assert np.allclose(back, 0.0, atol=1e-9) or np.allclose(back, 1.0, atol=1e-9)
 
 
 def test_coset_point_group_action():
@@ -188,14 +164,3 @@ def test_bitmap_pgm_round_trip(tmp_path):
     assert not shape.contains(TorusPoint([0.01, 0.01]))
     back = shape_from_json(shape.to_json())
     assert np.array_equal(back.bits, shape.bits)
-
-
-def test_integer_relation_scan_flags_dependence():
-    sys = sample_free_system(7, 2, 2, 8)
-    dependent = type(sys)(
-        k=2, d=2, vectors=np.array([[0.25, 0.5], [0.5, 1.0 - 1e-12]]), m_cap=8, rng_seed=0
-    )
-    hit = integer_relation_scan(dependent, coeff_cap=8)
-    assert hit is not None
-    free = sample_free_system(123, 2, 2, 8)
-    assert integer_relation_scan(free, coeff_cap=40) is None

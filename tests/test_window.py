@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from eqdec.errors import ArgumentError, PrecisionError, ResourceError
-from eqdec.lattice import CellSet, Rect
+from eqdec.lattice import Rect
 from eqdec.torus import AxisSquare, Bitmap, Disk, FreeVectorSystem, TorusPoint, sample_free_system
 from eqdec.window import (
-    apply_local_rule,
     build_sparse_coloring,
     extract_window,
     greedy_sparse_net,
@@ -129,17 +128,3 @@ def test_greedy_sparse_net_sparse_and_maximal():
     with pytest.raises(ArgumentError):
         greedy_sparse_net(win, col, 9)
 
-
-def test_apply_local_rule():
-    rng = np.random.default_rng(2)
-    grid = rng.integers(0, 2, (12, 12))
-    out, taint = apply_local_rule(grid, lambda p: p[1, 1], 1)
-    assert np.array_equal(out[~taint], grid[~taint])
-    const, _ = apply_local_rule(grid, lambda p: 7, 1)
-    assert (const == 7).all()
-    maj, taint = apply_local_rule(grid, lambda p: int(p.sum() > 4), 1)
-    for i in range(1, 11):
-        for j in range(1, 11):
-            assert maj[i, j] == int(grid[i - 1 : i + 2, j - 1 : j + 2].sum() > 4)
-    assert taint[0].all() and taint[-1].all()
-    assert not taint[1:-1, 1:-1].any()
