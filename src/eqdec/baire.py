@@ -17,7 +17,6 @@ from eqdec.errors import ArgumentError, ExtendabilityError, PrecisionError
 from eqdec.lattice import CellSet, Rect, dilate, ell_components, perimeter
 from eqdec.matching import (
     Matching,
-    TranslationGraph,
     augment_phase,
     cover_side,
     hall_deficiency,
@@ -762,10 +761,8 @@ def run_baire(
     radii,
     seed: int,
     horizon_factor: int = 2,
-    coloring: SparseColoring | None = None,
     candidate_cap: int = 64,
     net_cap: int = 16,
-    hall_check: bool = True,
 ) -> BaireResult:
     """Build nets, run the greedy levels, and audit feasibility on the core."""
     from eqdec.window import build_sparse_coloring
@@ -776,12 +773,11 @@ def run_baire(
     ladder = build_nets(
         win, radii, seed, margins, candidate_cap=candidate_cap, net_cap=net_cap
     )
-    if coloring is None:
-        coloring = build_sparse_coloring(win.sys, 2 * m_cap)
+    coloring = build_sparse_coloring(win.sys, 2 * m_cap)
     m = Matching(win.window, m_cap)
-    graph = TranslationGraph(win, m_cap)
     margin = max(margins)
-    win.buffer = margin
+    core = win.core_rect(margin)
+    csl = core.slices_in(win.window)
     reports = []
     global_cover = _GlobalCover(win)
     for level in range(1, len(radii) + 1):
@@ -789,26 +785,20 @@ def run_baire(
         m, rep = greedy_step(
             m, level, ladder, coloring, horizons[level - 1], win, warm_global=warm
         )
-        if hall_check:
-            core = win.core_rect(margin)
-            csl = core.slices_in(win.window)
-            req_a = (m.a_match >= 0) & win.a_bits.bits
-            req_b = (m.b_match >= 0) & win.b_bits.bits
-            for lv in range(level):
-                nb = ladder.nets[lv].bits
-                if ladder.sides[lv] == "A":
-                    req_a |= nb & win.a_bits.bits
-                else:
-                    req_b |= nb & win.b_bits.bits
-            mask = np.zeros(win.window.sides, dtype=bool)
-            mask[csl] = True
-            cert = hall_deficiency(
-                graph,
-                core,
-                CellSet(win.window, req_a & mask),
-                CellSet(win.window, req_b & mask),
-            )
-            rep.hall_ok = cert is None
+        req_a = (m.a_match >= 0) & win.a_bits.bits
+        req_b = (m.b_match >= 0) & win.b_bits.bits
+        for lv in range(level):
+            nb = ladder.nets[lv].bits
+            if ladder.sides[lv] == "A":
+                req_a |= nb & win.a_bits.bits
+            else:
+                req_b |= nb & win.b_bits.bits
+        mask = np.zeros(win.window.sides, dtype=bool)
+        mask[csl] = True
+        cert = hall_deficiency(
+            win, core, CellSet(win.window, req_a & mask), CellSet(win.window, req_b & mask)
+        )
+        rep.hall_ok = cert is None
         reports.append(rep)
     return BaireResult(
         matching=m, reports=reports, ladder=ladder, margin=margin, horizon_factor=horizon_factor

@@ -113,7 +113,7 @@ def save_run(path, win: CosetWindow, m: Matching, reports=None, extra_config=Non
     a_bytes = _pack_bits(win.a_bits.bits)
     b_bytes = _pack_bits(win.b_bits.bits)
     piece_bytes = pm.indices.astype("<u2").tobytes()
-    config = {"system": _sys_to_config(win.sys, win.base), "buffer": win.buffer}
+    config = {"system": _sys_to_config(win.sys, win.base)}
     if extra_config:
         config.update(extra_config)
     manifest = Manifest(
@@ -200,7 +200,6 @@ def load_run(path):
         window=window,
         a_bits=CellSet(window, a_bits),
         b_bits=CellSet(window, b_bits),
-        buffer=manifest["config"].get("buffer", 0),
     )
     pieces = np.frombuffer(p_raw, dtype="<u2").reshape(sides)
     count = (2 * m_cap + 1) ** d
@@ -209,10 +208,8 @@ def load_run(path):
     m = Matching(window, m_cap)
     m.a_match = np.where(pieces == NONE_PIECE, -1, pieces.astype(np.int32))
     b_match = np.full(sides, -1, dtype=np.int32)
-    a_idx = np.argwhere(m.a_match >= 0)
+    a_idx, ks, b_idx = m.edges()
     if len(a_idx):
-        ks = m.a_match[tuple(a_idx.T)]
-        b_idx = a_idx + m.offsets[ks]
         if b_idx.min() < 0 or np.any(b_idx >= np.array(sides)):
             raise LoadError("stored piece index points outside the window")
         b_match[tuple(b_idx.T)] = ks
@@ -245,20 +242,6 @@ GRAY = np.array([64, 64, 64], dtype=np.uint8)
 WHITE = np.array([255, 255, 255], dtype=np.uint8)
 
 
-def _check_translation_identity(win: CosetWindow, m: Matching) -> None:
-    """B-side cells of piece v must be the A-side cells of v shifted by v."""
-    a_idx = np.argwhere(m.a_match >= 0)
-    if len(a_idx) == 0:
-        return
-    ks = m.a_match[tuple(a_idx.T)]
-    b_idx = a_idx + m.offsets[ks]
-    if np.any(m.b_match[tuple(b_idx.T)] != ks):
-        raise ArgumentError("piece translation identity violated")
-    back = b_idx - m.offsets[m.b_match[tuple(b_idx.T)]]
-    if not np.array_equal(back, a_idx):
-        raise ArgumentError("piece translation identity violated")
-
-
 def render_pieces(win: CosetWindow, m: Matching, side: str = "a", scale: int = 1) -> bytes:
     """PPM (P6) image of the piece map, d=2 windows only.
 
@@ -273,7 +256,7 @@ def render_pieces(win: CosetWindow, m: Matching, side: str = "a", scale: int = 1
         raise ArgumentError("scale must be >= 1")
     if side not in ("a", "b"):
         raise ArgumentError("side must be 'a' or 'b'")
-    _check_translation_identity(win, m)
+    m.validate(win.a_bits.bits, win.b_bits.bits)
     sides = win.window.sides
     img = np.broadcast_to(WHITE, sides + (3,)).copy()
     if side == "a":

@@ -128,9 +128,6 @@ class CellSet:
         idx = np.argwhere(self.bits)
         return idx + np.array(self.rect.low)
 
-    def with_bits(self, bits: np.ndarray) -> "CellSet":
-        return CellSet(self.rect, bits)
-
 
 def dilate(bits: np.ndarray, m: int) -> np.ndarray:
     """Cells within sup-norm distance m of a true cell (no growth of the array)."""

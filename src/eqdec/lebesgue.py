@@ -49,9 +49,6 @@ class GridSchedule:
     seeds: tuple  # CellSet per executed level
     summability: dict
 
-    def n_cube(self, level: int) -> int:
-        return self.ladder[level]
-
 
 @dataclass(frozen=True)
 class GridDomain:
@@ -341,11 +338,7 @@ def init_m0(win: CosetWindow, dom: GridDomain, mutant: bool = False) -> Matching
 def prune_cross_cube(m: Matching, dom: GridDomain) -> Matching:
     """Keep only edges with both endpoints inside one domain cube."""
     out = m.copy()
-    a_idx = np.argwhere(out.a_match >= 0)
-    if len(a_idx) == 0:
-        return out
-    ks = out.a_match[tuple(a_idx.T)]
-    b_idx = a_idx + out.offsets[ks]
+    a_idx, _, b_idx = out.edges()
     ca = dom.cube_id[tuple(a_idx.T)]
     cb = dom.cube_id[tuple(b_idx.T)]
     drop = (ca < 0) | (ca != cb)
@@ -506,11 +499,7 @@ def margin_core(schedule: GridSchedule, levels: int, m_cap: int) -> int:
 
 
 def _edges_in_cubes(m: Matching, dom: GridDomain) -> bool:
-    a_idx = np.argwhere(m.a_match >= 0)
-    if len(a_idx) == 0:
-        return True
-    ks = m.a_match[tuple(a_idx.T)]
-    b_idx = a_idx + m.offsets[ks]
+    a_idx, _, b_idx = m.edges()
     ca = dom.cube_id[tuple(a_idx.T)]
     cb = dom.cube_id[tuple(b_idx.T)]
     return bool(np.all((ca >= 0) & (ca == cb)))
@@ -554,7 +543,6 @@ def run_pipeline(
     m_cap = win.sys.m_cap
     mcore = margin_core(schedule, levels, m_cap)
     core = win.core_rect(mcore)  # raises when the window is too small
-    win.buffer = mcore
     a_flat = win.a_bits.bits
     total_a_core = int(a_flat[core.slices_in(win.window)].sum())
     volume = win.window.volume()

@@ -10,7 +10,6 @@ content translates the matching.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from eqdec.torus import offsets_row_major
 from eqdec.window import CosetWindow
 
 __all__ = [
-    "TranslationGraph",
     "Matching",
     "HallCertificate",
     "canonical_max_matching",
@@ -30,25 +28,8 @@ __all__ = [
     "hall_deficiency",
 ]
 
-DEBUG_VALIDATE = bool(os.environ.get("EQDEC_DEBUG"))
-
-
-@dataclass(frozen=True)
-class TranslationGraph:
-    """The implicit bipartite graph on a window: (a, b) with ||a-b||_inf <= M."""
-
-    win: CosetWindow
-    m_cap: int = 0
-
-    def __post_init__(self):
-        if self.m_cap == 0:
-            object.__setattr__(self, "m_cap", self.win.sys.m_cap)
-        if self.m_cap < 0:
-            raise ArgumentError("m_cap must be >= 0")
-
-    @property
-    def degree_bound(self) -> int:
-        return (2 * self.m_cap + 1) ** self.win.d
+# Cube side of the ladder's greedy pass, before rounding up past 2M.
+LADDER_BASE = 16
 
 
 class Matching:
@@ -76,17 +57,16 @@ class Matching:
     def size(self) -> int:
         return int((self.a_match >= 0).sum())
 
-    def matched_a(self) -> np.ndarray:
-        return self.a_match >= 0
-
-    def matched_b(self) -> np.ndarray:
-        return self.b_match >= 0
+    def edges(self):
+        """Matched edges as (a_idx, ks, b_idx): A-cells, offset indices and
+        B-cells, in coordinates relative to the rect, row-major by A-cell."""
+        a_idx = np.argwhere(self.a_match >= 0)
+        ks = self.a_match[tuple(a_idx.T)]
+        return a_idx, ks, a_idx + self.offsets[ks]
 
     def pairs(self) -> np.ndarray:
         """(n, 2, d) array of matched (a, b) cells in absolute coordinates."""
-        a_idx = np.argwhere(self.a_match >= 0)
-        ks = self.a_match[tuple(a_idx.T)]
-        b_idx = a_idx + self.offsets[ks]
+        a_idx, _, b_idx = self.edges()
         low = np.array(self.rect.low)
         return np.stack([a_idx + low, b_idx + low], axis=1)
 
@@ -99,9 +79,7 @@ class Matching:
 
     def validate(self, a_bits: np.ndarray | None = None, b_bits: np.ndarray | None = None):
         """Raise unless the stored maps form a consistent partial injection."""
-        a_idx = np.argwhere(self.a_match >= 0)
-        ks = self.a_match[tuple(a_idx.T)]
-        b_idx = a_idx + self.offsets[ks]
+        a_idx, ks, b_idx = self.edges()
         if len(b_idx):
             if b_idx.min() < 0 or np.any(b_idx >= np.array(self.rect.sides)):
                 raise ArgumentError("matched partner outside the window")
@@ -303,10 +281,9 @@ def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, start_mask=N
     return flips
 
 
-def augment_to_max(a_bits, b_bits, a_match, b_match, m_cap, cap_len=None):
-    """Flip shortest augmenting paths (length <= cap_len) until none remain."""
-    if cap_len is None:
-        cap_len = 2 * int(np.prod(a_bits.shape)) + 1
+def augment_to_max(a_bits, b_bits, a_match, b_match, m_cap):
+    """Flip shortest augmenting paths until none remain."""
+    cap_len = 2 * int(np.prod(a_bits.shape)) + 1  # longer than any path
     total = 0
     while True:
         flips = augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len)
@@ -328,14 +305,14 @@ def aligned_cube_ids(shape, s: int) -> np.ndarray:
     return ids
 
 
-def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap, base: int = 16):
+def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
     """Fill empty match grids with a maximum matching, built bottom-up.
 
     Greedy matching confined to base-size cubes, then augmentation over
     doubling cube tilings: imbalances cancel at the smallest scale where they
     meet, so only the array-wide surplus needs long paths.
     """
-    base = 1 << max(base - 1, 2 * m_cap).bit_length()
+    base = 1 << max(LADDER_BASE - 1, 2 * m_cap).bit_length()
     greedy_offset_pass(
         a_bits, b_bits, a_match, b_match, m_cap, region_id=aligned_cube_ids(a_bits.shape, base)
     )
@@ -378,27 +355,27 @@ def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, base: int | None 
 # Public operations
 
 
-def _local_bits(g: TranslationGraph, R: Rect):
-    sl = R.slices_in(g.win.window)
-    return g.win.a_bits.bits[sl], g.win.b_bits.bits[sl]
+def _local_bits(win: CosetWindow, R: Rect):
+    sl = R.slices_in(win.window)
+    return win.a_bits.bits[sl], win.b_bits.bits[sl]
 
 
-def canonical_max_matching(g: TranslationGraph, R: Rect, reverse_offsets=False) -> Matching:
+def canonical_max_matching(win: CosetWindow, R: Rect) -> Matching:
     """The canonical maximum matching of the subgraph induced by R.
 
     Offset-greedy initialization followed by shortest-path augmentation; the
     result depends only on the induced content, not on where R sits.
     """
-    a_bits, b_bits = _local_bits(g, R)
-    m = Matching(R, g.m_cap)
-    greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, g.m_cap, reverse=reverse_offsets)
-    augment_to_max(a_bits, b_bits, m.a_match, m.b_match, g.m_cap)
-    if DEBUG_VALIDATE:
-        m.validate(a_bits, b_bits)
+    m_cap = win.sys.m_cap
+    a_bits, b_bits = _local_bits(win, R)
+    m = Matching(R, m_cap)
+    greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m_cap)
+    augment_to_max(a_bits, b_bits, m.a_match, m.b_match, m_cap)
+    m.validate(a_bits, b_bits)
     return m
 
 
-def bounded_augmenting_path(g: TranslationGraph, R: Rect, m: Matching, max_len: int):
+def bounded_augmenting_path(win: CosetWindow, R: Rect, m: Matching, max_len: int):
     """Shortest augmenting path of length <= max_len inside R, or None.
 
     Deterministic: the row-major first endpoint and predecessors are taken.
@@ -407,15 +384,16 @@ def bounded_augmenting_path(g: TranslationGraph, R: Rect, m: Matching, max_len: 
     """
     if m.rect != R:
         raise ArgumentError("matching must be defined on R")
-    a_bits, b_bits = _local_bits(g, R)
+    m_cap = win.sys.m_cap
+    a_bits, b_bits = _local_bits(win, R)
     offsets = m.offsets
     layer_a, layer_b, ends, depth = _layered_bfs(
-        a_bits, b_bits, m.a_match, m.b_match, offsets, g.m_cap, max_len
+        a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap, max_len
     )
     if ends is None:
         return None
     end = _first_true(ends)
-    nodes = _walk_back(end, depth, layer_a, layer_b, m.a_match, offsets, g.m_cap)
+    nodes = _walk_back(end, depth, layer_a, layer_b, m.a_match, offsets, m_cap)
     return list(reversed(nodes))
 
 
@@ -439,8 +417,7 @@ def flip(m: Matching, path) -> Matching:
             raise ArgumentError("interior pair is not a matched edge")
     out = m.copy()
     _apply_flip(list(reversed(path)), out.a_match, out.b_match, out.offsets, m.m_cap)
-    if DEBUG_VALIDATE:
-        out.validate()
+    out.validate()
     return out
 
 
@@ -481,9 +458,7 @@ def cover_side(a_in, b_in, m_cap, warm=None):
     return False, a_match, b_match, layer_a >= 0
 
 
-def hall_deficiency(
-    g: TranslationGraph, R: Rect, required_a: CellSet, required_b: CellSet
-):
+def hall_deficiency(win: CosetWindow, R: Rect, required_a: CellSet, required_b: CellSet):
     """Certificate that no matching covers both required sets, or None.
 
     Coverage is checked per side (a matching saturating each required side
@@ -497,11 +472,12 @@ def hall_deficiency(
             req_cells.append(cs.cells())
     if not req_cells:
         return None
+    m_cap = win.sys.m_cap
     allc = np.concatenate(req_cells)
-    lo = np.maximum(allc.min(axis=0) - g.m_cap, R.low)
-    hi = np.minimum(allc.max(axis=0) + g.m_cap + 1, np.array(R.high))
+    lo = np.maximum(allc.min(axis=0) - m_cap, R.low)
+    hi = np.minimum(allc.max(axis=0) + m_cap + 1, np.array(R.high))
     R_eff = Rect(tuple(int(x) for x in lo), tuple(int(b - a) for a, b in zip(lo, hi)))
-    a_bits, b_bits = _local_bits(g, R_eff)
+    a_bits, b_bits = _local_bits(win, R_eff)
     low = np.array(R_eff.low)
 
     def local_mask(cs: CellSet):
@@ -517,15 +493,15 @@ def hall_deficiency(
     req_b = local_mask(required_b)
     if np.any(req_a & ~a_bits) or np.any(req_b & ~b_bits):
         raise ArgumentError("required cells must belong to their part")
-    ok_a, _, _, witness = cover_side(req_a, b_bits, g.m_cap)
+    ok_a, _, _, witness = cover_side(req_a, b_bits, m_cap)
     if not ok_a:
         cells = np.argwhere(witness) + low
-        nb = int((dilate(witness, g.m_cap) & b_bits).sum())
+        nb = int((dilate(witness, m_cap) & b_bits).sum())
         return HallCertificate(side="A", cells=cells, neighborhood_size=nb)
-    ok_b, _, _, witness = cover_side(req_b, a_bits, g.m_cap)
+    ok_b, _, _, witness = cover_side(req_b, a_bits, m_cap)
     if not ok_b:
         cells = np.argwhere(witness) + low
-        nb = int((dilate(witness, g.m_cap) & a_bits).sum())
+        nb = int((dilate(witness, m_cap) & a_bits).sum())
         return HallCertificate(side="B", cells=cells, neighborhood_size=nb)
     return None
 

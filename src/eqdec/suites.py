@@ -11,7 +11,6 @@ import numpy as np
 from eqdec.lattice import CellSet, Rect, internal_boundary, isoperimetry_check, perimeter
 from eqdec.matching import (
     Matching,
-    TranslationGraph,
     bounded_augmenting_path,
     hall_deficiency,
 )
@@ -144,10 +143,10 @@ def suite_short_augmenting(seed: int, trials: int = 1000):
         a_bits = rng.random(R.sides) < 0.3
         b_bits = rng.random(R.sides) < 0.3
         m = _random_matching(rng, a_bits, b_bits, m_cap)
-        g = TranslationGraph(_bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap))
+        win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
         oracle = _bfs_oracle(a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap)
         for cap in (1, 3, 7, 10):
-            path = bounded_augmenting_path(g, R, m, cap)
+            path = bounded_augmenting_path(win, R, m, cap)
             if oracle is not None and oracle <= cap:
                 if path is None or len(path) - 1 != oracle:
                     bad += 1
@@ -198,10 +197,10 @@ def suite_hall(seed: int, trials: int = 1000):
         b_cells = sorted({e[1] for e in edges})
         req_a = [c for c in a_cells if rng.random() < 0.6]
         req_b = [c for c in b_cells if rng.random() < 0.6]
-        g = TranslationGraph(_bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap))
+        win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
         ra = CellSet.from_cells(req_a, R) if req_a else CellSet.empty(R)
         rb = CellSet.from_cells(req_b, R) if req_b else CellSet.empty(R)
-        cert = hall_deficiency(g, R, ra, rb)
+        cert = hall_deficiency(win, R, ra, rb)
         truth = _enumerate_feasible(edges, req_a, req_b)
         if truth != (cert is None):
             bad += 1

@@ -95,9 +95,6 @@ class FreeVectorSystem:
         object.__setattr__(self, "vectors", v)
         self.vectors.setflags(write=False)
 
-    def translation_count(self) -> int:
-        return (2 * self.m_cap + 1) ** self.d
-
 
 def sample_free_system(seed: int, k: int, d: int, m_cap: int) -> FreeVectorSystem:
     """Draw d uniform torus vectors from a seeded generator.
@@ -189,9 +186,6 @@ class Disk(Shape):
         d = np.sqrt((torus_delta(pts, self.center.array()) ** 2).sum(axis=1))
         return np.abs(d - self.radius)
 
-    def area(self) -> float:
-        return float(np.pi * self.radius**2)
-
     def to_json(self):
         return {"type": "disk", "center": list(self.center.coords), "radius": self.radius}
 
@@ -224,9 +218,6 @@ class AxisSquare(Shape):
         d_in = -np.max(gap, axis=1)
         d_out = np.max(np.maximum(gap, 0.0), axis=1)
         return np.where(inside, d_in, d_out)
-
-    def area(self) -> float:
-        return float(self.side ** len(self.corner.coords))
 
     def to_json(self):
         return {"type": "axis_square", "corner": list(self.corner.coords), "side": self.side}

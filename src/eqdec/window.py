@@ -45,18 +45,13 @@ def torus_coords(sys: FreeVectorSystem, u: TorusPoint, window: Rect) -> np.ndarr
 
 @dataclass
 class CosetWindow:
-    """Bit grids of two shapes along one coset, restricted to a finite window.
-
-    ``buffer`` is the taint margin: cells within that distance of the window
-    edge carry no infinite-lattice guarantee.
-    """
+    """Bit grids of two shapes along one coset, restricted to a finite window."""
 
     base: TorusPoint
     sys: FreeVectorSystem
     window: Rect
     a_bits: CellSet
     b_bits: CellSet
-    buffer: int = 0
     _coords: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -68,12 +63,13 @@ class CosetWindow:
             self._coords = torus_coords(self.sys, self.base, self.window)
         return self._coords
 
-    def core_rect(self, margin: int | None = None) -> Rect:
-        m = self.buffer if margin is None else margin
-        sides = tuple(s - 2 * m for s in self.window.sides)
+    def core_rect(self, margin: int) -> Rect:
+        """The window minus ``margin`` cells on every side: the cells far enough
+        from the edge to carry the infinite-lattice guarantee."""
+        sides = tuple(s - 2 * margin for s in self.window.sides)
         if any(s < 1 for s in sides):
-            raise ArgumentError(f"margin {m} leaves no untainted core")
-        return Rect(tuple(l + m for l in self.window.low), sides)
+            raise ArgumentError(f"margin {margin} leaves no untainted core")
+        return Rect(tuple(l + margin for l in self.window.low), sides)
 
 
 def extract_window(

@@ -16,8 +16,9 @@ from eqdec.baire import (
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, boundary
 from eqdec.matching import Matching
+from eqdec.suites import _bits_window
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, offsets_row_major, sample_free_system
-from eqdec.window import CosetWindow, extract_window
+from eqdec.window import extract_window
 
 
 def _shapes(area=0.15):
@@ -32,13 +33,6 @@ def _window(side=256, seed=7, m_cap=8):
     return extract_window(
         disk, square, sys, TorusPoint([0.3, 0.7]), Rect((-side // 2,) * 2, (side,) * 2)
     )
-
-
-def bits_window(a_bits, b_bits, m_cap, low=None):
-    sys = sample_free_system(0, 2, 2, m_cap)
-    low = low or (0, 0)
-    R = Rect(low, a_bits.shape)
-    return CosetWindow(TorusPoint([0.0, 0.0]), sys, R, CellSet(R, a_bits), CellSet(R, b_bits))
 
 
 def test_build_nets_empty_part():
@@ -77,13 +71,14 @@ def test_oracle_isolated_pair_and_conflict():
     b = np.zeros((13, 13), dtype=bool)
     a[6, 6] = True
     b[6, 7] = True
-    win = bits_window(a.copy(), b.copy(), 2)
+    R = Rect((0, 0), a.shape)
+    win = _bits_window(CellSet(R, a.copy()), CellSet(R, b.copy()), 2)
     m = Matching(win.window, 2)
     assert extendable_oracle(m, win, (6, 6), (6, 7), 4) is True
     # partner already matched: immediate conflict
     b[6, 5] = True
     a[5, 4] = True
-    win = bits_window(a, b, 2)
+    win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
     m = Matching(win.window, 2)
     k = int(np.ravel_multi_index((2 + 1, 2 + 1), (5, 5)))  # offset (1, 1)
     m.a_match[5, 4] = k
@@ -107,7 +102,8 @@ def test_oracle_vs_exhaustive_enumeration():
         a[centre] = True
         if int(a.sum() + b.sum()) > 14:
             continue
-        win = bits_window(a, b, m_cap)
+        R = Rect((0, 0), a.shape)
+        win = _bits_window(CellSet(R, a), CellSet(R, b), m_cap)
         m = Matching(win.window, m_cap)
         cands = [
             tuple(int(c + o) for c, o in zip(centre, off))
@@ -236,9 +232,8 @@ def test_hole_analysis_requires_connected():
 def test_fill_hole_ring():
     m_cap = 4
     X = _ring_instance(m_cap)
-    win = bits_window(
-        np.ones((60, 60), dtype=bool), np.ones((60, 60), dtype=bool), m_cap, low=(-10, -10)
-    )
+    full = CellSet(Rect((-10, -10), (60, 60)), np.ones((60, 60), dtype=bool))
+    win = _bits_window(full, full, m_cap)
     rep = hole_analysis(X, m_cap=m_cap, r_i=10_000)  # huge richness floor
     hole = rep.finite_holes[0]
     assert not hole.rich
@@ -251,9 +246,8 @@ def test_fill_hole_ring():
 def test_fill_hole_rejects_rich_and_infinite():
     m_cap = 4
     X = _ring_instance(m_cap)
-    win = bits_window(
-        np.ones((60, 60), dtype=bool), np.ones((60, 60), dtype=bool), m_cap, low=(-10, -10)
-    )
+    full = CellSet(Rect((-10, -10), (60, 60)), np.ones((60, 60), dtype=bool))
+    win = _bits_window(full, full, m_cap)
     rep = hole_analysis(X, m_cap=m_cap, r_i=m_cap)  # low floor: everything rich
     hole = rep.finite_holes[0]
     assert hole.rich
@@ -283,9 +277,8 @@ def test_fill_hole_reference_point_random():
         if not fillable:
             done += 1
             continue
-        win = bits_window(
-            np.ones((60, 60), dtype=bool), np.ones((60, 60), dtype=bool), m_cap, low=(-20, -20)
-        )
+        full = CellSet(Rect((-20, -20), (60, 60)), np.ones((60, 60), dtype=bool))
+        win = _bits_window(full, full, m_cap)
         x_new, claims = fill_hole(CellSet.from_cells(comp.cells()), rep, fillable[0], win)
         assert claims["same_reference"]
         assert claims["hole_gone"]

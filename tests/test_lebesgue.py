@@ -16,7 +16,7 @@ from eqdec.lebesgue import (
     rematch_dirty_cubes,
     run_pipeline,
 )
-from eqdec.matching import TranslationGraph, canonical_max_matching
+from eqdec.matching import canonical_max_matching
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, sample_free_system
 from eqdec.window import CosetWindow, extract_window
 
@@ -181,11 +181,9 @@ def test_init_m0_edges_inside_cubes_and_oracle_size():
         cb = dom.cube_id[tuple(b - low)]
         assert ca == cb and ca >= 0
     # per-cube size equals the canonical per-rect matching
-    g = TranslationGraph(win, win.sys.m_cap)
-    ids = dom.cube_id
     for ci in (0, len(dom.cube_lows) // 2, len(dom.cube_lows) - 1):
         rect = dom.cube_rect(ci)
-        standalone = canonical_max_matching(g, rect)
+        standalone = canonical_max_matching(win, rect)
         sl = rect.slices_in(win.window)
         assert (m.a_match[sl] >= 0).sum() == standalone.size()
         assert np.array_equal(m.a_match[sl], standalone.a_match)
@@ -226,7 +224,6 @@ def test_rematch_and_refine_reach_per_cube_maximum():
     m3.validate(win.a_bits.bits, win.b_bits.bits)
     assert (m3.a_match != m2.a_match).any()
     dirty_set = set(dirty.tolist())
-    g = TranslationGraph(win, win.sys.m_cap)
     clean_ids = [ci for ci in range(len(dom1.cube_lows)) if ci not in dirty_set]
     assert len(dirty) and len(clean_ids)
     _refine_all(m3, dom1, dom0, win, clean_ids)
@@ -237,7 +234,7 @@ def test_rematch_and_refine_reach_per_cube_maximum():
         rect = dom1.cube_rect(ci)
         sl = rect.slices_in(win.window)
         local = Matching(rect, win.sys.m_cap, m3.a_match[sl].copy(), m3.b_match[sl].copy())
-        assert bounded_augmenting_path(g, rect, local, max(rect.sides)) is None
+        assert bounded_augmenting_path(win, rect, local, max(rect.sides)) is None
 
 
 def test_refine_single_flip_instance():
@@ -293,8 +290,7 @@ def test_run_pipeline_identity_instance():
     assert rep.unmatched_fraction == 0.0
     assert rep.two_sided_cubes == 0
     # identical parts saturate every covered cube
-    ids = np.zeros(res.matching.a_match.shape, dtype=bool)
-    csl = win.core_rect().slices_in(win.window)
+    csl = win.core_rect(res.margin_core).slices_in(win.window)
     assert ((res.matching.a_match[csl] >= 0) == win.a_bits.bits[csl]).all()
 
 

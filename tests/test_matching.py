@@ -5,23 +5,13 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
 from eqdec.matching import (
     Matching,
-    TranslationGraph,
     bounded_augmenting_path,
     canonical_max_matching,
     flip,
     hall_deficiency,
 )
-from eqdec.suites import _bfs_oracle, _enumerate_feasible, _random_matching
-from eqdec.torus import TorusPoint, offsets_row_major, sample_free_system
-from eqdec.window import CosetWindow
-
-
-def bits_window(a_bits, b_bits, m_cap, low=(0, 0)):
-    sys = sample_free_system(0, 2, 2, m_cap)
-    R = Rect(low, a_bits.shape)
-    return CosetWindow(
-        TorusPoint([0.0, 0.0]), sys, R, CellSet(R, a_bits), CellSet(R, b_bits)
-    )
+from eqdec.suites import _bfs_oracle, _bits_window, _enumerate_feasible, _random_matching
+from eqdec.torus import offsets_row_major
 
 
 def scipy_max_matching_size(a_bits, b_bits, m_cap):
@@ -51,14 +41,13 @@ def scipy_max_matching_size(a_bits, b_bits, m_cap):
 def test_canonical_matching_trivial():
     R = Rect((0, 0), (4, 4))
     empty = np.zeros((4, 4), dtype=bool)
-    win = bits_window(empty, empty, 2)
-    g = TranslationGraph(win, 2)
-    assert canonical_max_matching(g, R).size() == 0
+    win = _bits_window(CellSet(R, empty), CellSet(R, empty), 2)
+    assert canonical_max_matching(win, R).size() == 0
 
     one = empty.copy()
     one[1, 1] = True
-    win = bits_window(one, one.copy(), 2)
-    m = canonical_max_matching(TranslationGraph(win, 2), R)
+    win = _bits_window(CellSet(R, one), CellSet(R, one.copy()), 2)
+    m = canonical_max_matching(win, R)
     assert m.size() == 1
     assert m.partner_of((1, 1)) == (1, 1)
 
@@ -69,8 +58,8 @@ def test_canonical_matching_vs_max_flow_oracle():
     for _ in range(1000):
         a = rng.random((12, 12)) < rng.uniform(0.1, 0.6)
         b = rng.random((12, 12)) < rng.uniform(0.1, 0.6)
-        win = bits_window(a, b, 2)
-        m = canonical_max_matching(TranslationGraph(win, 2), R)
+        win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
+        m = canonical_max_matching(win, R)
         m.validate(a, b)
         assert m.size() == scipy_max_matching_size(a, b, 2)
 
@@ -85,10 +74,10 @@ def test_canonical_matching_translation_covariant():
     big_b[5:15, 5:15] = b
     big_a[37:47, 20:30] = a
     big_b[37:47, 20:30] = b
-    win = bits_window(big_a, big_b, 3, low=(-11, 4))
-    g = TranslationGraph(win, 3)
-    m1 = canonical_max_matching(g, Rect((-11 + 5, 4 + 5), (10, 10)))
-    m2 = canonical_max_matching(g, Rect((-11 + 37, 4 + 20), (10, 10)))
+    big = Rect((-11, 4), (60, 60))
+    win = _bits_window(CellSet(big, big_a), CellSet(big, big_b), 3)
+    m1 = canonical_max_matching(win, Rect((-11 + 5, 4 + 5), (10, 10)))
+    m2 = canonical_max_matching(win, Rect((-11 + 37, 4 + 20), (10, 10)))
     assert np.array_equal(m1.a_match, m2.a_match)
     assert np.array_equal(m1.b_match, m2.b_match)
 
@@ -99,15 +88,14 @@ def test_bounded_augmenting_path_trivial():
     b = np.zeros((3, 3), dtype=bool)
     a[0, 0] = True
     b[0, 1] = True
-    win = bits_window(a, b, 1)
-    g = TranslationGraph(win, 1)
+    win = _bits_window(CellSet(R, a), CellSet(R, b), 1)
     m = Matching(R, 1)
-    path = bounded_augmenting_path(g, R, m, 3)
+    path = bounded_augmenting_path(win, R, m, 3)
     assert path == [(0, 0), (0, 1)]
     # fully matched: no path
     m.a_match[0, 0] = 1 * 3 + 2  # offset (0, 1) in the 3x3 offset box
     m.b_match[0, 1] = m.a_match[0, 0]
-    assert bounded_augmenting_path(g, R, m, 3) is None
+    assert bounded_augmenting_path(win, R, m, 3) is None
 
 
 def test_bounded_augmenting_path_vs_uncapped_oracle():
@@ -118,11 +106,10 @@ def test_bounded_augmenting_path_vs_uncapped_oracle():
         a = rng.random((10, 10)) < 0.3
         b = rng.random((10, 10)) < 0.3
         m = _random_matching(rng, a, b, 2)
-        win = bits_window(a, b, 2)
-        g = TranslationGraph(win, 2)
+        win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
         oracle = _bfs_oracle(a, b, m.a_match, m.b_match, offsets, 2)
         for cap in (1, 3, 5, 10):
-            path = bounded_augmenting_path(g, R, m, cap)
+            path = bounded_augmenting_path(win, R, m, cap)
             if oracle is not None and oracle <= cap:
                 assert path is not None and len(path) - 1 == oracle
             else:
@@ -134,12 +121,11 @@ def test_flip_examples_and_counting():
     rng = np.random.default_rng(3)
     a = rng.random((6, 6)) < 0.5
     b = rng.random((6, 6)) < 0.5
-    win = bits_window(a, b, 2)
-    g = TranslationGraph(win, 2)
+    win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
     m = Matching(R, 2)
     sizes = [0]
     for _ in range(30):
-        path = bounded_augmenting_path(g, R, m, 12)
+        path = bounded_augmenting_path(win, R, m, 12)
         if path is None:
             break
         m = flip(m, path)
@@ -161,18 +147,16 @@ def test_hall_deficiency_examples():
     R = Rect((0, 0), (4, 4))
     a = np.zeros((4, 4), dtype=bool)
     b = np.zeros((4, 4), dtype=bool)
-    win = bits_window(a, b, 1)
-    g = TranslationGraph(win, 1)
-    assert hall_deficiency(g, R, CellSet.empty(R), CellSet.empty(R)) is None
+    win = _bits_window(CellSet(R, a), CellSet(R, b), 1)
+    assert hall_deficiency(win, R, CellSet.empty(R), CellSet.empty(R)) is None
 
     # two required A-cells sharing a single neighbour
     a2 = a.copy()
     b2 = b.copy()
     a2[0, 0] = a2[0, 2] = True
     b2[0, 1] = True
-    win = bits_window(a2, b2, 1)
-    g = TranslationGraph(win, 1)
-    cert = hall_deficiency(g, R, CellSet.from_cells([(0, 0), (0, 2)], R), CellSet.empty(R))
+    win = _bits_window(CellSet(R, a2), CellSet(R, b2), 1)
+    cert = hall_deficiency(win, R, CellSet.from_cells([(0, 0), (0, 2)], R), CellSet.empty(R))
     assert cert is not None and cert.side == "A"
     assert len(cert.cells) == 2 and cert.neighborhood_size == 1
 
@@ -197,11 +181,10 @@ def test_hall_deficiency_vs_enumeration():
         a_cells = sorted({e[0] for e in edges} | {tuple(c) for c in np.argwhere(a)})
         req_a = [c for c in a_cells if rng.random() < 0.4]
         req_b = [c for c in sorted({e[1] for e in edges}) if rng.random() < 0.4]
-        win = bits_window(a, b, 1)
-        g = TranslationGraph(win, 1)
+        win = _bits_window(CellSet(R, a), CellSet(R, b), 1)
         ra = CellSet.from_cells(req_a, R) if req_a else CellSet.empty(R)
         rb = CellSet.from_cells(req_b, R) if req_b else CellSet.empty(R)
-        cert = hall_deficiency(g, R, ra, rb)
+        cert = hall_deficiency(win, R, ra, rb)
         assert (cert is None) == _enumerate_feasible(edges, req_a, req_b)
 
 

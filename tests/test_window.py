@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,22 @@ def test_greedy_sparse_net_sparse_and_maximal():
     with pytest.raises(ArgumentError):
         greedy_sparse_net(win, col, 9)
 
+
+@pytest.mark.parametrize("pipeline", ["square", "baire"])
+def test_pipelines_leave_the_window_unchanged(pipeline):
+    from eqdec.baire import run_baire
+    from eqdec.lebesgue import build_schedule, run_pipeline
+
+    disk, square = _shapes()
+    sys = sample_free_system(7, 2, 2, 8)
+    win = extract_window(disk, square, sys, TorusPoint([0.3, 0.7]), Rect((-128, -128), (256, 256)))
+
+    def snapshot():  # every field but the coordinate cache, by value
+        return {f.name: pickle.dumps(getattr(win, f.name)) for f in fields(win) if f.name != "_coords"}
+
+    before = snapshot()
+    if pipeline == "square":
+        run_pipeline(win, build_schedule(win, (8, 32), 1), 1)
+    else:
+        run_baire(win, (8, 24), seed=11, net_cap=6)
+    assert snapshot() == before
