@@ -1,10 +1,11 @@
 """Greedy sparse-net matching pipeline with horizon-bounded extendability
-checks and hole diagnostics for the failure case.
+checks.
 
 Levels alternate parts: odd levels pick B-net cells, even levels A-net cells.
 Each net cell is matched to the first candidate partner (by coloring class,
 then row-major) whose addition keeps the matching extendable out to the
-configured horizon.
+configured horizon. A net cell with no such partner stops the run with
+ExtendabilityError.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eqdec.errors import ArgumentError, ExtendabilityError, PrecisionError
-from eqdec.lattice import CellSet, Rect, dilate, ell_components, perimeter
+from eqdec.lattice import CellSet, Rect
 from eqdec.matching import (
     Matching,
     augment_phase,
@@ -26,13 +27,9 @@ from eqdec.window import CosetWindow, SparseColoring, _min_translation_distance
 
 __all__ = [
     "SparseNetLadder",
-    "HoleReport",
     "build_nets",
     "extendable_oracle",
     "greedy_step",
-    "hole_analysis",
-    "fill_hole",
-    "private_set_audit",
     "run_baire",
     "BaireResult",
     "BaireLevelReport",
@@ -48,7 +45,6 @@ class SparseNetLadder:
     m_cap: int
     sides: tuple  # "A" or "B" per level
     nets: tuple  # CellSet per level
-    ball_radii: tuple  # torus ball radius used per level
     condition_partials: tuple  # partial sums of (M/r_j)^((d-1)/d)
     condition_bound: float
 
@@ -84,8 +80,7 @@ def build_nets(
     alpha = rng.random(win.sys.k)
     y0 = rng.random(win.sys.k)
     coords = win.torus_coords()
-    sides_arr = np.array(win.window.sides)
-    nets, sides, ball_radii = [], [], []
+    nets, sides = [], []
     for level, r in enumerate(radii, start=1):
         side = net_side(level)
         part = win.a_bits.bits if side == "A" else win.b_bits.bits
@@ -118,14 +113,12 @@ def build_nets(
         )
         nets.append(cells)
         sides.append(side)
-        ball_radii.append(eps)
     terms = [(m_cap / r) ** ((d - 1) / d) for r in radii]
     return SparseNetLadder(
         radii=radii,
         m_cap=m_cap,
         sides=tuple(sides),
         nets=tuple(nets),
-        ball_radii=tuple(ball_radii),
         condition_partials=tuple(np.cumsum(terms).tolist()),
         condition_bound=4.0 ** (1 - d),
     )
@@ -361,7 +354,6 @@ class BaireLevelReport:
     sparsity_ok: bool
     condition_value: float
     condition_ok: bool
-    post_oracle_ok: bool
     hall_ok: bool | None = None
 
 
@@ -381,14 +373,15 @@ def greedy_step(
     coloring: SparseColoring,
     horizon: int,
     win: CosetWindow,
-    post_check: bool = True,
     warm_global=None,
 ):
     """Match every unmatched net cell of the level, minimizing the partner's
     (coloring class, row-major) key among oracle-approved candidates.
 
-    Raises ExtendabilityError with a hole report when a net cell has no
-    approved partner. Returns (new matching, level report).
+    Raises ExtendabilityError when a net cell has no approved partner. The
+    message also says when the cell's own-side cover was infeasible before
+    any partner was tried, so that every candidate was bound to fail.
+    Returns (new matching, level report).
     """
     net = ladder.nets[level - 1]
     side = ladder.sides[level - 1]
@@ -397,7 +390,6 @@ def greedy_step(
     out = m_prev.copy()
     coords = win.torus_coords()
     low = np.array(win.window.low)
-    part_bits = win.b_bits.bits if side == "B" else win.a_bits.bits
     other_bits = win.a_bits.bits if side == "B" else win.b_bits.bits
     net_cells = [tuple(int(x) for x in c) for c in net.cells()]
 
@@ -407,7 +399,6 @@ def greedy_step(
 
     net_cells.sort(key=lambda c: (color_key(c), c))
     added = []
-    contexts = {}
     offs = offsets_row_major(m_cap, win.d)
     for cell in net_cells:
         rel = tuple(c - l for c, l in zip(cell, low))
@@ -427,12 +418,7 @@ def greedy_step(
                 continue
             cands.append(partner)
         cands.sort(key=lambda c: (color_key(c), c))
-        if cell not in contexts:
-            contexts[cell] = _OracleContext(
-                m_prev, win, cell, side, horizon, warm_global=warm_global
-            )
-        ctx = contexts[cell]
-        matched = False
+        ctx = _OracleContext(m_prev, win, cell, side, horizon, warm_global=warm_global)
         for partner in cands:
             if ctx.check(partner):
                 a_c = cell if side == "A" else partner
@@ -443,12 +429,15 @@ def greedy_step(
                 out.a_match[arel] = k
                 out.b_match[brel] = k
                 added.append((a_c, b_c))
-                matched = True
                 break
-        if not matched:
-            report = _failure_diagnostics(win, out, cell, side, horizon, m_cap, r_i)
+        else:
+            own_cover = ctx.cover_a if side == "A" else ctx.cover_b
+            why = "" if own_cover.ok else (
+                f": the other {side} cells of its horizon ball cannot all be "
+                "matched even before a partner is chosen"
+            )
             raise ExtendabilityError(
-                f"level {level}: net cell {cell} has no extendable partner", report
+                f"level {level}: net cell {cell} has no extendable partner" + why
             )
     # added edges must be (r_i + 2M)-sparse
     sparsity_ok = True
@@ -457,12 +446,6 @@ def greedy_step(
         for j in range(i + 1, len(added)):
             if _edge_set_distance(added[i], added[j]) <= bound:
                 sparsity_ok = False
-    post_ok = True
-    if post_check:
-        for a_c, b_c in added:
-            anchor = a_c if side == "A" else b_c
-            partner = b_c if side == "A" else a_c
-            post_ok = post_ok and contexts[anchor].check(partner) is True
     report = BaireLevelReport(
         level=level,
         side=side,
@@ -473,7 +456,6 @@ def greedy_step(
         sparsity_ok=sparsity_ok,
         condition_value=ladder.condition_partials[level - 1],
         condition_ok=ladder.condition_ok(level),
-        post_oracle_ok=post_ok,
     )
     return out, report
 
@@ -484,263 +466,6 @@ def _offset_index(a_c, b_c, m_cap, d) -> int:
     for aa, bb in zip(a_c, b_c):
         k = k * box + (bb - aa + m_cap)
     return k
-
-
-def _failure_diagnostics(win, m, cell, side, horizon, m_cap, r_i):
-    """Hole analysis of the unmatched component around a failed net cell."""
-    reach = horizon + m_cap
-    low = tuple(int(c) - reach for c in cell)
-    region = Rect(low, (2 * reach + 1,) * win.d)
-    sl = region.slices_in(win.window)
-    part = win.a_bits.bits if side == "A" else win.b_bits.bits
-    matched = m.a_match if side == "A" else m.b_match
-    free = part[sl] & (matched[sl] < 0)
-    comps = ell_components(CellSet(region, free), 2 * m_cap)
-    centre = tuple(int(c) - l for c, l in zip(cell, low))
-    target = None
-    for comp in comps:
-        if comp.bits[centre]:
-            target = comp
-            break
-    if target is None:
-        return None
-    try:
-        return hole_analysis(target, m_cap, r_i)
-    except ArgumentError:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Hole diagnostics
-
-
-@dataclass
-class Hole:
-    cells: CellSet
-    perimeter: int
-    rich: bool
-    infinite: bool
-    boundary_into_hull: int
-
-
-@dataclass
-class HoleReport:
-    reference_point: tuple
-    grid: int
-    x1: CellSet
-    x2: CellSet
-    holes: list
-    hull_perimeter: int
-    decomposition_ok: bool
-
-    @property
-    def finite_holes(self):
-        return [h for h in self.holes if not h.infinite]
-
-
-def hole_analysis(X: CellSet, m_cap: int, r_i: int) -> HoleReport:
-    """Grid hulls, holes and richness flags of a 2M-connected cell set.
-
-    The half-M grid is anchored at the per-axis minima of X. Holes are the
-    2M-components of the hull's complement inside a padded analysis region;
-    the component touching the region frame is the infinite one.
-    """
-    if X.size() == 0:
-        raise ArgumentError("X must be non-empty")
-    comps = ell_components(X, 2 * m_cap)
-    if len(comps) != 1:
-        raise ArgumentError("X must be 2M-connected")
-    g = max(1, m_cap // 2)
-    cells = X.cells()
-    o = tuple(int(v) for v in cells.min(axis=0))
-    d = cells.shape[1]
-    cube_idx = (cells - o) // g  # o is the min, so indices are >= 0
-    pad = (2 * m_cap) // g + 2
-    imax = cube_idx.max(axis=0)
-    ilo = np.full(d, -pad)
-    ihi = imax + pad + 1
-    occ_shape = tuple(int(b - a) for a, b in zip(ilo, ihi))
-    occ = np.zeros(occ_shape, dtype=bool)
-    occ[tuple((cube_idx - ilo).T)] = True
-    x2_occ = occ.copy()
-    for ax in range(d):
-        for sign in (1, -1):
-            x2_occ |= np.roll(occ, sign, axis=ax) & _roll_valid(occ.shape, ax, sign)
-    region = Rect(
-        tuple(int(o[j] + ilo[j] * g) for j in range(d)),
-        tuple(int(s * g) for s in occ_shape),
-    )
-    x1_bits = _expand_cubes(occ, g)
-    x2_bits = _expand_cubes(x2_occ, g)
-    x1 = CellSet(region, x1_bits)
-    x2 = CellSet(region, x2_bits)
-    hull_perimeter = perimeter(x1)
-    comp_sets = ell_components(CellSet(region, ~x1_bits), 2 * m_cap)
-    frame = np.zeros(region.sides, dtype=bool)
-    for ax in range(d):
-        sl0 = [slice(None)] * d
-        sl0[ax] = 0
-        frame[tuple(sl0)] = True
-        sl1 = [slice(None)] * d
-        sl1[ax] = region.sides[ax] - 1
-        frame[tuple(sl1)] = True
-    rich_floor = (r_i / m_cap) ** ((d - 1) / d)
-    holes = []
-    infinite_bits = np.zeros(region.sides, dtype=bool)
-    finite_comps = []
-    for comp in comp_sets:
-        if (comp.bits & frame).any():
-            infinite_bits |= comp.bits
-        else:
-            finite_comps.append(comp)
-    into_total = 0
-    if infinite_bits.any():
-        h_inf = CellSet(region, infinite_bits)
-        into = _edges_into(infinite_bits, x1_bits)
-        into_total += into
-        holes.append(
-            Hole(
-                cells=h_inf,
-                perimeter=into,
-                rich=True,
-                infinite=True,
-                boundary_into_hull=into,
-            )
-        )
-    for comp in finite_comps:
-        p = perimeter(comp)
-        into = _edges_into(comp.bits, x1_bits)
-        into_total += into
-        holes.append(
-            Hole(
-                cells=comp,
-                perimeter=p,
-                rich=p >= rich_floor,
-                infinite=False,
-                boundary_into_hull=into,
-            )
-        )
-    return HoleReport(
-        reference_point=o,
-        grid=g,
-        x1=x1,
-        x2=x2,
-        holes=holes,
-        hull_perimeter=hull_perimeter,
-        decomposition_ok=(into_total == hull_perimeter),
-    )
-
-
-def _roll_valid(shape, ax, sign):
-    mask = np.ones(shape, dtype=bool)
-    sl = [slice(None)] * len(shape)
-    sl[ax] = 0 if sign == 1 else shape[ax] - 1
-    mask[tuple(sl)] = False
-    return mask
-
-
-def _expand_cubes(occ: np.ndarray, g: int) -> np.ndarray:
-    out = occ
-    for ax in range(occ.ndim):
-        out = np.repeat(out, g, axis=ax)
-    return out
-
-
-def _edges_into(hole_bits: np.ndarray, hull_bits: np.ndarray) -> int:
-    count = 0
-    d = hole_bits.ndim
-    for ax in range(d):
-        for sign in (1, -1):
-            shifted = np.roll(hull_bits, -sign, axis=ax) & _roll_valid(hull_bits.shape, ax, -sign)
-            count += int((hole_bits & shifted).sum())
-    return count
-
-
-def fill_hole(X: CellSet, report: HoleReport, hole: Hole, win: CosetWindow):
-    """Absorb a finite non-rich hole: X' = X ∪ (A ∩ M-ball(hole)).
-
-    Returns (X', claims) where claims verifies the invariants: unchanged
-    reference point, hull growing by exactly the hole, the hole disappearing,
-    and X' staying 2M-connected.
-    """
-    if hole.infinite:
-        raise ArgumentError("cannot fill the infinite hole")
-    if hole.rich:
-        raise ArgumentError("cannot fill a rich hole")
-    m_cap = win.sys.m_cap
-    region = hole.cells.rect
-    grown = dilate(hole.cells.bits, m_cap)
-    a_local = np.zeros(region.sides, dtype=bool)
-    inter = _intersect_rect(region, win.window)
-    if inter is not None:
-        a_local[inter.slices_in(region)] = win.a_bits.bits[inter.slices_in(win.window)]
-    addition = CellSet(region, grown & a_local)
-    x_cells = X.cells()
-    add_cells = addition.cells()
-    all_cells = np.concatenate([x_cells, add_cells]) if len(add_cells) else x_cells
-    x_new = CellSet.from_cells(all_cells)
-    rep2 = hole_analysis(x_new, m_cap, 1)  # richness floor irrelevant to the claims
-    old_holes = {_key(h.cells) for h in report.holes if not h.infinite}
-    new_holes = {_key(h.cells) for h in rep2.holes if not h.infinite}
-    x1_old = _restrict(report.x1, region)
-    x1_new = _restrict(rep2.x1, region)
-    claims = {
-        "same_reference": rep2.reference_point == report.reference_point,
-        "hull_is_union": bool(np.array_equal(x1_new, x1_old | hole.cells.bits))
-        and rep2.x1.size() == report.x1.size() + hole.cells.size(),
-        "hole_gone": _key(hole.cells) not in new_holes,
-        "other_holes_kept": old_holes - {_key(hole.cells)} <= new_holes,
-        "connected": len(ell_components(x_new, 2 * m_cap)) == 1,
-    }
-    return x_new, claims
-
-
-def _key(cs: CellSet):
-    return tuple(map(tuple, cs.cells()))
-
-
-def _restrict(cs: CellSet, rect: Rect) -> np.ndarray:
-    out = np.zeros(rect.sides, dtype=bool)
-    inter = _intersect_rect(rect, cs.rect)
-    if inter is not None:
-        out[inter.slices_in(rect)] = cs.bits[inter.slices_in(cs.rect)]
-    return out
-
-
-def _intersect_rect(a: Rect, b: Rect):
-    lo = np.maximum(a.low, b.low)
-    hi = np.minimum(a.high, b.high)
-    if np.any(hi - lo < 1):
-        return None
-    return Rect(tuple(int(x) for x in lo), tuple(int(y - x) for x, y in zip(lo, hi)))
-
-
-def private_set_audit(x1_boundary: np.ndarray, net_edges, r_j: int, m_cap: int):
-    """Private boundary shares of sparse net edges, with annulus shell counts.
-
-    ``x1_boundary`` is the (p, 2, d) boundary-pair array of a hull;
-    ``net_edges`` a list of ((a), (b)) edges assumed (r_j + 2M)-sparse.
-    """
-    reach = r_j / 2 + m_cap
-    results = []
-    for e in net_edges:
-        e_arr = np.array(e)  # (2, d)
-        dmat = np.abs(x1_boundary[:, :, None, :] - e_arr[None, None, :, :]).max(axis=-1)
-        dist = dmat.min(axis=(1, 2))
-        members = np.flatnonzero(dist <= reach)
-        shells = []
-        m = 0
-        while (2 * m - 1) * m_cap < r_j / 2:
-            lo, hi = (2 * m - 1) * m_cap, (2 * m + 1) * m_cap
-            shells.append(int(((dist > lo) & (dist <= hi)).sum()))
-            m += 1
-        results.append({"edge": e, "private": members, "size": len(members), "shells": shells})
-    disjoint = True
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            if set(results[i]["private"]) & set(results[j]["private"]):
-                disjoint = False
-    return {"edges": results, "disjoint": disjoint}
 
 
 # ---------------------------------------------------------------------------

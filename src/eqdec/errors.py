@@ -20,10 +20,6 @@ class EstimateError(RuntimeError):
 class ExtendabilityError(RuntimeError):
     """A greedy matching level found a net cell with no feasible partner."""
 
-    def __init__(self, message, hole_report=None):
-        super().__init__(message)
-        self.hole_report = hole_report
-
 
 class LoadError(RuntimeError):
     """A stored run failed to load (bad magic, hash mismatch, truncation)."""

@@ -1,5 +1,5 @@
-"""Finite-window primitives on Z^d: rectangles, cell sets, boundaries,
-components under bounded jumps, and the merged binary rectangle tree.
+"""Finite-window primitives on Z^d: rectangles, cell sets, dilation,
+perimeters and the isoperimetric bound, and the merged binary rectangle tree.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ __all__ = [
     "CellSet",
     "RectTree",
     "RectTreeNode",
-    "boundary",
     "perimeter",
     "internal_boundary",
     "isoperimetry_check",
-    "ell_components",
     "build_rect_tree",
     "dilate",
 ]
@@ -136,35 +134,6 @@ def dilate(bits: np.ndarray, m: int) -> np.ndarray:
     return maximum_filter(bits.astype(np.uint8), size=2 * m + 1, mode="constant") > 0
 
 
-def boundary(X: CellSet) -> np.ndarray:
-    """Ordered boundary pairs (m, n): m in X, n outside, n - m = +-e_j.
-
-    The complement is taken in all of Z^d, so edges leaving the bounding rect
-    count. Returns an array of shape (p, 2, d), pairs in a fixed scan order.
-    """
-    pairs = []
-    bits = X.bits
-    low = np.array(X.rect.low)
-    for ax in range(X.rect.d):
-        for sign in (1, -1):
-            shifted = np.zeros_like(bits)
-            src = [slice(None)] * X.rect.d
-            dst = [slice(None)] * X.rect.d
-            if sign == 1:
-                src[ax], dst[ax] = slice(1, None), slice(0, -1)
-            else:
-                src[ax], dst[ax] = slice(0, -1), slice(1, None)
-            shifted[tuple(dst)] = bits[tuple(src)]
-            exits = bits & ~shifted
-            m = np.argwhere(exits) + low
-            n = m.copy()
-            n[:, ax] += sign
-            pairs.append(np.stack([m, n], axis=1))
-    if not pairs:
-        return np.zeros((0, 2, X.rect.d), dtype=np.int64)
-    return np.concatenate(pairs, axis=0)
-
-
 def perimeter(X: CellSet) -> int:
     """Number of edges leaving X in the 2d-regular grid graph."""
     total = 0
@@ -211,30 +180,6 @@ def isoperimetry_check(X: CellSet):
     p = perimeter(X)
     bound = 2 * d * n ** ((d - 1) / d)
     return p, bound, p >= bound - 1e-9
-
-
-def ell_components(X: CellSet, ell: int):
-    """Partition X into components under jumps of sup-norm distance <= ell.
-
-    Returns a list of CellSets ordered by their row-major smallest cell.
-    """
-    if ell < 1:
-        raise ArgumentError("ell must be >= 1")
-    remaining = X.bits.copy()
-    comps = []
-    while remaining.any():
-        seed_flat = int(np.flatnonzero(remaining.ravel())[0])
-        comp = np.zeros_like(remaining)
-        frontier = np.zeros_like(remaining)
-        frontier.ravel()[seed_flat] = True
-        comp |= frontier
-        while frontier.any():
-            grown = dilate(frontier, ell) & remaining & ~comp
-            comp |= grown
-            frontier = grown
-        comps.append(CellSet(X.rect, comp))
-        remaining &= ~comp
-    return comps
 
 
 # ---------------------------------------------------------------------------

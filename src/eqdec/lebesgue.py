@@ -100,7 +100,6 @@ class IterationReport:
 class PipelineResult:
     matching: Matching
     reports: list
-    stable_map: np.ndarray
     margin_formula: int
     margin_core: int
     schedule: GridSchedule
@@ -553,7 +552,6 @@ def run_pipeline(
     dom = grid_domain(schedule.seeds[0], schedule.ladder[0], vor, win.window, level=0)
     doms.append(dom)
     m = init_m0(win, dom, mutant=mutant)
-    last_mod = np.zeros(win.window.sides, dtype=np.int32)
     reports.append(_report(win, dom, m, 0, 0, 0, 0, 0, core, total_a_core, volume))
     if check_invariants:
         m.validate(win.a_bits.bits, win.b_bits.bits)
@@ -579,8 +577,6 @@ def run_pipeline(
         _refine_all(m3, dom, prev_dom, win, clean_ids, mutant=mutant)
         changed_refine = int((snap3 != m3.a_match).sum())
 
-        level_changed = snap != m3.a_match
-        last_mod[level_changed] = i
         m = m3
         reports.append(
             _report(
@@ -607,7 +603,6 @@ def run_pipeline(
     return PipelineResult(
         matching=m,
         reports=reports,
-        stable_map=last_mod,
         margin_formula=margin_formula(schedule, levels, m_cap),
         margin_core=mcore,
         schedule=schedule,

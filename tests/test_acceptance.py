@@ -159,7 +159,6 @@ def test_criterion_6_baire_run(baire_run):
         rel = net.cells() - low
         assert (grid[tuple(rel.T)] >= 0).all(), rep
         assert rep.sparsity_ok
-        assert rep.post_oracle_ok
         assert rep.hall_ok
     sizes = [r.net_size for r in res.reports]
     assert sum(sizes) > 0

@@ -6,15 +6,12 @@ import pytest
 from eqdec.baire import (
     build_nets,
     extendable_oracle,
-    fill_hole,
     greedy_step,
-    hole_analysis,
     net_side,
-    private_set_audit,
     run_baire,
 )
 from eqdec.errors import ArgumentError
-from eqdec.lattice import CellSet, Rect, boundary
+from eqdec.lattice import CellSet, Rect
 from eqdec.matching import Matching
 from eqdec.suites import _bits_window
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, offsets_row_major, sample_free_system
@@ -188,120 +185,6 @@ def test_oracle_horizon_exceeds_window():
         extendable_oracle(m, win, x, x, 100)
 
 
-def test_hole_analysis_single_cell():
-    X = CellSet.from_cells([(0, 0)])
-    rep = hole_analysis(X, m_cap=4, r_i=8)
-    assert rep.reference_point == (0, 0)
-    assert len(rep.holes) == 1 and rep.holes[0].infinite
-    assert rep.x1.size() == 4  # one half-M grid cube (side 2)
-    assert rep.decomposition_ok
-
-
-def _ring_instance(m_cap=4):
-    # thick ring around an empty 3M x 3M region; thickness > 2M seals the
-    # interior against 2M-jumps
-    M = m_cap
-    inner = 3 * M
-    thick = 2 * M + 1
-    cells = []
-    for x in range(-thick, inner + thick):
-        for y in range(-thick, inner + thick):
-            if 0 <= x < inner and 0 <= y < inner:
-                continue
-            cells.append((x, y))
-    return CellSet.from_cells(cells)
-
-
-def test_hole_analysis_ring():
-    X = _ring_instance(4)
-    rep = hole_analysis(X, m_cap=4, r_i=4)
-    finite = rep.finite_holes
-    assert len(finite) == 1
-    assert any(h.infinite for h in rep.holes)
-    assert rep.decomposition_ok
-    # boundary decomposition: reversed hull boundary edges all land in holes
-    assert sum(h.boundary_into_hull for h in rep.holes) == rep.hull_perimeter
-
-
-def test_hole_analysis_requires_connected():
-    X = CellSet.from_cells([(0, 0), (50, 50)])
-    with pytest.raises(ArgumentError):
-        hole_analysis(X, m_cap=4, r_i=8)
-
-
-def test_fill_hole_ring():
-    m_cap = 4
-    X = _ring_instance(m_cap)
-    full = CellSet(Rect((-10, -10), (60, 60)), np.ones((60, 60), dtype=bool))
-    win = _bits_window(full, full, m_cap)
-    rep = hole_analysis(X, m_cap=m_cap, r_i=10_000)  # huge richness floor
-    hole = rep.finite_holes[0]
-    assert not hole.rich
-    x_new, claims = fill_hole(X, rep, hole, win)
-    assert all(claims.values()), claims
-    rep2 = hole_analysis(x_new, m_cap=m_cap, r_i=10_000)
-    assert len(rep2.finite_holes) == 0
-
-
-def test_fill_hole_rejects_rich_and_infinite():
-    m_cap = 4
-    X = _ring_instance(m_cap)
-    full = CellSet(Rect((-10, -10), (60, 60)), np.ones((60, 60), dtype=bool))
-    win = _bits_window(full, full, m_cap)
-    rep = hole_analysis(X, m_cap=m_cap, r_i=m_cap)  # low floor: everything rich
-    hole = rep.finite_holes[0]
-    assert hole.rich
-    with pytest.raises(ArgumentError):
-        fill_hole(X, rep, hole, win)
-    inf = [h for h in rep.holes if h.infinite][0]
-    with pytest.raises(ArgumentError):
-        fill_hole(X, rep, inf, win)
-
-
-def test_fill_hole_reference_point_random():
-    rng = np.random.default_rng(31)
-    m_cap = 2
-    done = 0
-    while done < 40:
-        bits = rng.random((16, 16)) < 0.55
-        X = CellSet(Rect((0, 0), (16, 16)), bits)
-        if X.size() == 0:
-            continue
-        from eqdec.lattice import ell_components
-
-        comp = ell_components(X, 2 * m_cap)[0]
-        if comp.size() < 6:
-            continue
-        rep = hole_analysis(CellSet.from_cells(comp.cells()), m_cap, r_i=100 * m_cap)
-        fillable = [h for h in rep.finite_holes if not h.rich]
-        if not fillable:
-            done += 1
-            continue
-        full = CellSet(Rect((-20, -20), (60, 60)), np.ones((60, 60), dtype=bool))
-        win = _bits_window(full, full, m_cap)
-        x_new, claims = fill_hole(CellSet.from_cells(comp.cells()), rep, fillable[0], win)
-        assert claims["same_reference"]
-        assert claims["hole_gone"]
-        done += 1
-
-
-def test_private_set_audit():
-    X = _ring_instance(4)
-    rep = hole_analysis(X, m_cap=4, r_i=4)
-    bnd = boundary(rep.x1)
-    # one net edge near the hole, one far away
-    near = ((4, 4), (5, 5))
-    far = ((90, 90), (91, 91))
-    out = private_set_audit(bnd, [near, far], r_j=16, m_cap=4)
-    assert out["disjoint"]
-    near_entry = out["edges"][0]
-    assert near_entry["size"] >= 16 / (4 * 4)  # at least r/(4M) shells hit
-    assert all(s >= 1 for s in near_entry["shells"][: max(1, 16 // (4 * 4))])
-    assert out["edges"][1]["size"] == 0
-    empty = private_set_audit(bnd, [], r_j=16, m_cap=4)
-    assert empty["edges"] == [] and empty["disjoint"]
-
-
 def test_greedy_step_empty_net_is_noop():
     win = _window(128)
     from eqdec.baire import SparseNetLadder
@@ -312,7 +195,6 @@ def test_greedy_step_empty_net_is_noop():
         m_cap=8,
         sides=("B",),
         nets=(CellSet.empty(win.window),),
-        ball_radii=(0.001,),
         condition_partials=(0.5,),
         condition_bound=0.25,
     )
@@ -327,7 +209,6 @@ def test_run_baire_small_end_to_end():
     res = run_baire(win, (8, 24), seed=11, net_cap=6)
     assert all(r.added == r.net_size for r in res.reports)
     assert all(r.sparsity_ok for r in res.reports)
-    assert all(r.post_oracle_ok for r in res.reports)
     assert all(r.hall_ok for r in res.reports)
     res.matching.validate(win.a_bits.bits, win.b_bits.bits)
     total = sum(r.added for r in res.reports)

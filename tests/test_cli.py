@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import eqdec
-from eqdec.cli import main
+from eqdec.baire import build_nets
+from eqdec.cli import main, sub_seed
 from eqdec.io_render import load_run
 
 
@@ -160,8 +161,16 @@ def test_baire_cli_small(tmp_path):
         "baire", "--window", 384, "--seed", 5, "--out", out, "--radii", "8,24"
     )
     assert code == 0
-    reports = json.loads((out / "baire_reports.json").read_text())
-    assert all(r["added"] == r["net_size"] for r in reports)
+    # every net cell is matched on its level's side; an earlier level may have
+    # matched it as a partner already, so added == net_size is not promised
+    win, m, _ = load_run(out / "baire.eqdc")
+    radii, m_cap = (8, 24), win.sys.m_cap
+    ladder = build_nets(win, radii, sub_seed(5, "nets"), [2 * r + m_cap + 1 for r in radii])
+    assert sum(net.size() for net in ladder.nets) > 0
+    low = np.array(win.window.low)
+    for net, side in zip(ladder.nets, ladder.sides):
+        grid = m.a_match if side == "A" else m.b_match
+        assert (grid[tuple((net.cells() - low).T)] >= 0).all(), side
     assert run_cli("verify", out / "baire.eqdc") == 0
     # the same config into another --out directory gives the same bytes
     out2 = tmp_path / "baire2"
@@ -169,6 +178,19 @@ def test_baire_cli_small(tmp_path):
         "baire", "--window", 384, "--seed", 5, "--out", out2, "--radii", "8,24"
     ) == 0
     assert (out2 / "baire.eqdc").read_bytes() == (out / "baire.eqdc").read_bytes()
+
+
+def test_baire_extendability_failure_is_one_line(tmp_path):
+    proc = _cli_process(
+        "baire", "--window", 256, "--mcap", 2, "--radii", "8,24", "--seed", 7,
+        "--out", tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("assertion failure: level 1: net cell")
+    assert "even before a partner is chosen" in lines[0]
 
 
 def test_lemma_tests_single_suite():
@@ -184,4 +206,20 @@ def test_every_all_entry_resolves():
         for name in getattr(mod, "__all__", ())
         if not hasattr(mod, name)
     ]
+    assert not missing
+
+
+def test_layertrace_targets_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 wraps these callables; a deletion that drops
+    # one breaks the traced benchmark, which tier-1 does not run
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    layertrace = importlib.import_module("layertrace")
+    missing = []
+    for _name, modname, attr, _hook in layertrace.LAYERS:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, "__dict__", {}).get(part)
+        if not callable(obj):
+            missing.append(f"{modname}.{attr}")
     assert not missing

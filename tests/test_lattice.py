@@ -5,9 +5,7 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import (
     CellSet,
     Rect,
-    boundary,
     build_rect_tree,
-    ell_components,
     internal_boundary,
     isoperimetry_check,
     perimeter,
@@ -44,14 +42,7 @@ def test_boundary_pairs_match_brute_force():
         if not bits.any():
             continue
         X = CellSet(Rect((-2, 5), (6, 6)), bits)
-        pairs = boundary(X)
-        assert len(pairs) == perimeter(X)
-        assert len(pairs) == brute_perimeter(X.cells(), 2)
-        seen = {(tuple(p[0]), tuple(p[1])) for p in pairs}
-        assert len(seen) == len(pairs)
-        for m, n in seen:
-            assert X.contains(m) and not X.contains(n)
-            assert sum(abs(a - b) for a, b in zip(m, n)) == 1
+        assert perimeter(X) == brute_perimeter(X.cells(), 2)
 
 
 def test_internal_boundary_examples():
@@ -86,65 +77,6 @@ def test_isoperimetry_exhaustive_3x3():
 def test_isoperimetry_empty_raises():
     with pytest.raises(ArgumentError):
         isoperimetry_check(CellSet.empty(Rect((0, 0), (3, 3))))
-
-
-class UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[rb] = ra
-
-
-def uf_components(cells, ell):
-    cells = [tuple(c) for c in cells]
-    uf = UnionFind(len(cells))
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if max(abs(a - b) for a, b in zip(cells[i], cells[j])) <= ell:
-                uf.union(i, j)
-    groups = {}
-    for i in range(len(cells)):
-        groups.setdefault(uf.find(i), set()).add(cells[i])
-    return sorted(frozenset(g) for g in groups.values())
-
-
-def test_ell_components_examples():
-    two = CellSet.from_cells([(0, 0), (5, 5)])
-    assert len(ell_components(two, 4)) == 2
-    assert len(ell_components(two, 5)) == 1
-    ring_cells = [
-        (i, j)
-        for i in range(9)
-        for j in range(9)
-        if i in (0, 8) or j in (0, 8)
-    ]
-    ring = CellSet.from_cells(ring_cells)
-    comps = ell_components(ring, 1)
-    assert len(comps) == 1
-    assert {tuple(c) for c in comps[0].cells()} == set(ring_cells)
-
-
-def test_ell_components_match_union_find():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        bits = rng.random((8, 8)) < 0.3
-        if not bits.any():
-            continue
-        X = CellSet(Rect((0, 0), (8, 8)), bits)
-        for ell in (1, 2, 3):
-            ours = sorted(
-                frozenset(map(tuple, c.cells())) for c in ell_components(X, ell)
-            )
-            assert ours == uf_components(X.cells(), ell)
 
 
 def test_rect_tree_aligned_grid():
