@@ -18,9 +18,12 @@ from eqdec.errors import ArgumentError, ExtendabilityError, PrecisionError
 from eqdec.lattice import CellSet, Rect
 from eqdec.matching import (
     Matching,
+    _tiles,
     augment_phase,
     cover_side,
     hall_deficiency,
+    hierarchy_augment,
+    ladder_max_matching,
 )
 from eqdec.torus import offsets_row_major, torus_delta
 from eqdec.window import CosetWindow, SparseColoring, _min_translation_distance
@@ -34,6 +37,12 @@ __all__ = [
     "BaireResult",
     "BaireLevelReport",
 ]
+
+# Side of the aligned cubes that bound the warm start's matching: no edge of
+# it and no augmenting phase behind it reaches past one tile. The cap cannot
+# change the output, since cover_side's verdict does not depend on its warm
+# seed; it only trims the window-wide phases that each flip a path or two.
+WARM_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,9 @@ class _OracleContext:
 
     Each candidate check then costs at most one augmenting-path search per
     side instead of two full coverage matchings. ``warm_global`` optionally
-    seeds both coverings from a window-wide matching of the free cells.
+    seeds both coverings from a matching of the free cells (the tile-wise
+    one of ``_GlobalCover``); any seed gives the same verdicts, because
+    cover_side's verdict does not depend on it.
     """
 
     def __init__(
@@ -224,7 +235,7 @@ class _OracleContext:
         self.cover_b = _Covering(req_b, a_in, m_cap, warm=warm_b)  # required B into A
 
     def _warm(self, warm_global, sl, left_req, right_avail, flip: bool):
-        """Local covering seeded from the window-wide free matching.
+        """Local covering seeded from the free-cell matching ``warm_global``.
 
         Keeps only edges at required left cells whose partner is available in
         the region; ``flip`` reads the global matching from the B side (left
@@ -268,8 +279,10 @@ class _OracleContext:
 
 
 class _GlobalCover:
-    """Window-wide maximum matching of the cells still free under the current
-    sparse matching; shared warm start for every oracle context of a level."""
+    """Tile-wise maximum matching of the cells still free under the current
+    sparse matching: maximum inside each aligned ``WARM_TILE`` cube, with no
+    edge between cubes. Shared warm start for every oracle context of a
+    level."""
 
     def __init__(self, win: CosetWindow):
         self.win = win
@@ -279,8 +292,6 @@ class _GlobalCover:
         self.built = False
 
     def refresh(self, m: Matching):
-        from eqdec.matching import hierarchy_augment, ladder_max_matching
-
         m_cap = self.win.sys.m_cap
         free_a = self.win.a_bits.bits & (m.a_match < 0)
         free_b = self.win.b_bits.bits & (m.b_match < 0)
@@ -297,11 +308,10 @@ class _GlobalCover:
             sources = stale_b - self.offsets[ks]
             self.gam[tuple(sources.T)] = -1
             self.gbm[tuple(stale_b.T)] = -1
-        if not self.built:
-            ladder_max_matching(free_a, free_b, self.gam, self.gbm, m_cap)
-            self.built = True
-        else:
-            hierarchy_augment(free_a, free_b, self.gam, self.gbm, m_cap)
+        complete = hierarchy_augment if self.built else ladder_max_matching
+        for sl in _tiles(free_a.shape, WARM_TILE):
+            complete(free_a[sl], free_b[sl], self.gam[sl], self.gbm[sl], m_cap)
+        self.built = True
         return self.gam, self.gbm
 
 

@@ -14,6 +14,7 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, build_rect_tree
 from eqdec.matching import (
     Matching,
+    _layered_bfs,
     augment_phase,
     augment_to_max,
     greedy_offset_pass,
@@ -505,8 +506,6 @@ def _edges_in_cubes(m: Matching, dom: GridDomain) -> bool:
 
 
 def _no_short_augmenting_path(win: CosetWindow, dom: GridDomain, m: Matching) -> bool:
-    from eqdec.matching import _layered_bfs  # internal reuse
-
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
     for ci in range(len(dom.cube_lows)):
         sl = _cube_slices(dom, ci, win.window)

@@ -256,6 +256,8 @@ def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, start_mask=N
     Returns the number of paths flipped (0 when no path of length <= cap_len
     exists from the chosen start cells).
     """
+    if not (b_bits & (b_match < 0)).any():
+        return 0  # no endpoint can exist, and the BFS writes no match grid
     offsets = offsets_row_major(m_cap, a_bits.ndim)
     layer_a, layer_b, ends, depth = _layered_bfs(
         a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask
@@ -290,6 +292,13 @@ def augment_to_max(a_bits, b_bits, a_match, b_match, m_cap):
         if flips == 0:
             return total
         total += flips
+
+
+def _tiles(shape, s: int):
+    """Slices of the corner-aligned s-cube tiling of an array, row-major."""
+    counts = [max(1, -(-n // s)) for n in shape]
+    for corner in np.ndindex(*counts):
+        yield tuple(slice(c * s, min((c + 1) * s, n)) for c, n in zip(corner, shape))
 
 
 def aligned_cube_ids(shape, s: int) -> np.ndarray:
@@ -336,11 +345,7 @@ def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, base: int | None 
         if not ua.any() or not ub.any():
             return total
         full = s >= max(sides)
-        counts = [max(1, -(-n // s)) for n in sides]
-        for corner in np.ndindex(*counts):
-            sl = tuple(
-                slice(c * s, min((c + 1) * s, n)) for c, n in zip(corner, sides)
-            )
+        for sl in _tiles(sides, s):
             if not (ua[sl].any() and ub[sl].any()):
                 continue
             total += augment_to_max(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from eqdec.baire import (
+    WARM_TILE,
+    _GlobalCover,
     build_nets,
     extendable_oracle,
     greedy_step,
@@ -12,10 +14,10 @@ from eqdec.baire import (
 )
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
-from eqdec.matching import Matching
+from eqdec.matching import Matching, _tiles, augment_to_max
 from eqdec.suites import _bits_window
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, offsets_row_major, sample_free_system
-from eqdec.window import extract_window
+from eqdec.window import build_sparse_coloring, extract_window
 
 
 def _shapes(area=0.15):
@@ -224,3 +226,42 @@ def test_baire_run_golden_hash():
     m = run_baire(_window(384), (8, 24), seed=11, net_cap=6).matching
     digest = hashlib.sha256(m.a_match.tobytes() + m.b_match.tobytes()).hexdigest()
     assert digest == GOLDEN_BAIRE
+
+
+def test_warm_start_is_a_tilewise_maximum_matching():
+    win = _window(384)
+    assert max(win.window.sides) > WARM_TILE
+    sparse = run_baire(win, (8, 24), seed=11, net_cap=6).matching
+    assert sparse.size() > 0
+    cover = _GlobalCover(win)
+    # first build (ladder per tile), then a refresh that drops stale edges
+    for m in (Matching(win.window, 8), sparse):
+        gam, gbm = cover.refresh(m)
+        free_a = win.a_bits.bits & (m.a_match < 0)
+        free_b = win.b_bits.bits & (m.b_match < 0)
+        warm = Matching(win.window, 8, gam.copy(), gbm.copy())
+        warm.validate(free_a, free_b)  # every edge joins a free A to a free B
+        a_idx, _, b_idx = warm.edges()
+        assert len(a_idx) > 0
+        assert np.array_equal(a_idx // WARM_TILE, b_idx // WARM_TILE)
+        for sl in _tiles(free_a.shape, WARM_TILE):
+            am, bm = gam[sl].copy(), gbm[sl].copy()
+            assert augment_to_max(free_a[sl], free_b[sl], am, bm, 8) == 0
+
+
+def test_greedy_levels_do_not_depend_on_the_warm_start():
+    win = _window(384)
+    radii, m_cap = (8, 24), win.sys.m_cap
+    horizons = [2 * r for r in radii]
+    ladder = build_nets(win, radii, 11, [h + m_cap + 1 for h in horizons], net_cap=6)
+    coloring = build_sparse_coloring(win.sys, 2 * m_cap)
+    m = Matching(win.window, m_cap)
+    cover = _GlobalCover(win)
+    for level, horizon in enumerate(horizons, start=1):
+        warm = cover.refresh(m)
+        cold, cold_rep = greedy_step(m, level, ladder, coloring, horizon, win)
+        m, rep = greedy_step(m, level, ladder, coloring, horizon, win, warm_global=warm)
+        assert rep.added > 0
+        assert rep == cold_rep
+        assert np.array_equal(m.a_match, cold.a_match)
+        assert np.array_equal(m.b_match, cold.b_match)
