@@ -509,7 +509,7 @@ def _no_short_augmenting_path(win: CosetWindow, dom: GridDomain, m: Matching) ->
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
     for ci in range(len(dom.cube_lows)):
         sl = _cube_slices(dom, ci, win.window)
-        *_, ends, _d = _layered_bfs(
+        bfs = _layered_bfs(
             a_bits[sl],
             b_bits[sl],
             m.a_match[sl],
@@ -518,7 +518,7 @@ def _no_short_augmenting_path(win: CosetWindow, dom: GridDomain, m: Matching) ->
             m.m_cap,
             max(dom.cube_rect(ci).sides),
         )
-        if ends is not None:
+        if bfs.ends is not None:
             return False
     return True
 

@@ -6,13 +6,22 @@ a consistently maintained inverse map. The canonical maximum matching is the
 offset-greedy pass followed by shortest-augmenting-path phases with row-major
 tie-breaks; it is a pure function of the window content, so translating the
 content translates the matching.
+
+Two kernels carry most of the work. The greedy pass walks a shrinking list of
+free A-cells, as flat indices into grids padded by M, instead of sweeping
+whole arrays per offset. The layered BFS records each reached B-cell's
+parent (the row-major first A-cell of the previous layer within M), so a
+walk-back step is one lookup; it searches the (2M+1)^d patch only when the
+parent already lies on a path flipped in the same phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.ndimage import minimum_filter
 
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, dilate
@@ -97,16 +106,6 @@ class Matching:
 # Core routines operating on local (sliced) arrays
 
 
-def _offset_slices(sides, off):
-    src, dst = [], []
-    for s, o in zip(sides, off):
-        o = int(o)
-        a0, b0 = max(0, -o), max(0, o)
-        src.append(slice(a0, max(a0, s - max(0, o))))
-        dst.append(slice(b0, max(b0, s - max(0, -o))))
-    return tuple(src), tuple(dst)
-
-
 def greedy_offset_pass(
     a_bits, b_bits, a_match, b_match, m_cap, region_id=None, reverse=False
 ):
@@ -114,65 +113,146 @@ def greedy_offset_pass(
 
     Pairs within one offset never conflict. With ``region_id`` given, pairs
     must share a non-negative region label.
+
+    Sparse form of the dense per-offset sweep: the free A-cells (in a region)
+    are listed once as flat indices into copies padded by M on every side,
+    where a shift by v is one integer add that never wraps a row. Each offset
+    tests only the A-cells still free, and matched cells leave the list.
     """
-    offsets = offsets_row_major(m_cap, a_bits.ndim)
+    d = a_bits.ndim
+    offsets = offsets_row_major(m_cap, d)
     order = range(len(offsets) - 1, -1, -1) if reverse else range(len(offsets))
-    sides = a_bits.shape
+    padded = tuple(s + 2 * m_cap for s in a_bits.shape)
+    inner = tuple(slice(m_cap, m_cap + s) for s in a_bits.shape)
+    free = np.zeros(padded, dtype=bool)
+    free[inner] = a_bits & (a_match < 0)
+    if region_id is not None:
+        free[inner] &= region_id >= 0
+    idx = np.flatnonzero(free)
+    if len(idx) == 0:
+        return
+    free[inner] = b_bits & (b_match < 0)  # from here on: the free B-cells
+    free_b = free.ravel()
+    if region_id is not None:
+        reg = np.full(padded, -1, dtype=region_id.dtype)
+        reg[inner] = region_id
+        reg = reg.ravel()
+        a_reg = reg[idx]
+    strides = [int(np.prod(padded[i + 1 :])) for i in range(d)]
+    shifts = offsets @ np.array(strides, dtype=np.intp)
+    hit_a, hit_k = [], []
     for k in order:
-        src, dst = _offset_slices(sides, offsets[k])
-        cand = (a_bits[src] & (a_match[src] < 0)) & (b_bits[dst] & (b_match[dst] < 0))
+        tgt = idx + shifts[k]
+        ok = free_b[tgt]
         if region_id is not None:
-            rs = region_id[src]
-            cand &= (rs >= 0) & (rs == region_id[dst])
-        if not cand.any():
+            ok &= reg[tgt] == a_reg
+        if not ok.any():
             continue
-        a_match[src][cand] = k
-        b_match[dst][cand] = k
+        free_b[tgt[ok]] = False
+        hits = idx[ok]
+        hit_a.append(hits)
+        hit_k.append(np.full(len(hits), k, dtype=a_match.dtype))
+        keep = ~ok
+        idx = idx[keep]
+        if region_id is not None:
+            a_reg = a_reg[keep]
+        if len(idx) == 0:
+            break
+    if not hit_k:
+        return
+    a_flat = np.concatenate(hit_a)
+    ks = np.concatenate(hit_k)
+    for match, flat in ((a_match, a_flat), (b_match, a_flat + shifts[ks])):
+        cells = np.unravel_index(flat, padded)
+        for c in cells:
+            c -= m_cap
+        match[cells] = ks
+
+
+class BfsLayers(NamedTuple):
+    """Result of ``_layered_bfs``.
+
+    ``layer_a`` / ``layer_b`` hold each labelled cell's edge-distance from
+    the start cells (-1 when unlabelled); ``ends`` marks the unmatched
+    B-cells of the shortest depth ``depth`` (None and -1 when no path was
+    found); ``parent`` holds, for each labelled B-cell, the row-major flat
+    index of the row-major first A-cell of the previous layer within M.
+    """
+
+    layer_a: np.ndarray
+    layer_b: np.ndarray
+    ends: np.ndarray | None
+    depth: int
+    parent: np.ndarray
+
+
+_NO_PARENT = np.iinfo(np.int32).max
 
 
 def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask=None):
     """Layered alternating BFS from unmatched A-cells.
 
-    Returns (layer_a, layer_b, endpoint mask or None, endpoint depth).
-    Layers hold edge-distances: even on the A side, odd on the B side. Work
-    per layer is confined to the frontier's bounding box, which keeps long
-    single-source searches cheap.
+    Returns a ``BfsLayers``. Layers hold edge-distances: even on the A side,
+    odd on the B side. Work per layer is confined to the frontier's bounding
+    box, which keeps long single-source searches cheap. Each A -> B step runs
+    a ``minimum_filter`` over the frontier's row-major indices: it yields the
+    reached B-cells and, for each, its parent (the row-major first frontier
+    cell within M), so the walk-back need not search a patch. With no start
+    cell, the grids returned are read-only views of -1 and nothing is
+    allocated.
     """
-    sides = np.array(a_bits.shape)
-    layer_a = np.full(a_bits.shape, -1, dtype=np.int32)
-    layer_b = np.full(a_bits.shape, -1, dtype=np.int32)
     front_full = a_bits & (a_match < 0)
     if start_mask is not None:
         front_full = front_full & start_mask
     if not front_full.any():
-        return layer_a, layer_b, None, -1
+        unlabelled = np.broadcast_to(np.int32(-1), a_bits.shape)
+        return BfsLayers(unlabelled, unlabelled, None, -1, unlabelled)
+    shape = a_bits.shape
+    sides = np.array(shape)
+    layer_a = np.full(shape, -1, dtype=np.int32)
+    layer_b = np.full(shape, -1, dtype=np.int32)
+    parent = np.full(shape, -1, dtype=np.int32)
     layer_a[front_full] = 0
     pts = np.argwhere(front_full)
     flo, fhi = pts.min(axis=0), pts.max(axis=0) + 1
     fr = front_full[tuple(slice(int(a), int(b)) for a, b in zip(flo, fhi))].copy()
     depth = 0
+
+    def stop():
+        return BfsLayers(layer_a, layer_b, None, -1, parent)
+
     while True:
         depth += 1  # step A -> B over any edge
         if depth > cap_len:
-            return layer_a, layer_b, None, -1
+            return stop()
         nlo = np.maximum(flo - m_cap, 0)
         nhi = np.minimum(fhi + m_cap, sides)
         sl = tuple(slice(int(a), int(b)) for a, b in zip(nlo, nhi))
-        box = np.zeros(tuple(nhi - nlo), dtype=bool)
+        bshape = tuple(int(x) for x in nhi - nlo)
+        box = np.zeros(bshape, dtype=bool)
         box[tuple(slice(int(a - c), int(b - c)) for a, b, c in zip(flo, fhi, nlo))] = fr
-        reach = dilate(box, m_cap) & b_bits[sl] & (layer_b[sl] < 0)
+        # row-major order inside the box is row-major order in the array, so
+        # the smallest box-local index within M is the first frontier cell
+        nearest = np.full(bshape, _NO_PARENT, dtype=np.int32)
+        local = np.flatnonzero(box)
+        np.put(nearest, local, local)
+        nearest = minimum_filter(nearest, size=2 * m_cap + 1, mode="constant", cval=_NO_PARENT)
+        reach = (nearest != _NO_PARENT) & b_bits[sl] & (layer_b[sl] < 0)
         if not reach.any():
-            return layer_a, layer_b, None, -1
-        lb = layer_b[sl]
-        lb[reach] = depth
+            return stop()
+        layer_b[sl][reach] = depth
+        cells = np.unravel_index(nearest[reach], bshape)
+        parent[sl][reach] = np.ravel_multi_index(
+            tuple(c + int(o) for c, o in zip(cells, nlo)), shape
+        )
         ends = reach & (b_match[sl] < 0)
         if ends.any():
-            full = np.zeros(a_bits.shape, dtype=bool)
+            full = np.zeros(shape, dtype=bool)
             full[sl] = ends
-            return layer_a, layer_b, full, depth
+            return BfsLayers(layer_a, layer_b, full, depth, parent)
         depth += 1  # step B -> A over matched edges
         if depth > cap_len:
-            return layer_a, layer_b, None, -1
+            return stop()
         bs = np.argwhere(reach) + nlo
         ks = b_match[tuple(bs.T)]
         As = bs - offsets[ks]
@@ -181,16 +261,15 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, star
         inb = np.all(As >= 0, axis=1) & np.all(As < sides, axis=1)
         As = As[inb]
         if len(As) == 0:
-            return layer_a, layer_b, None, -1
+            return stop()
         alo, ahi = As.min(axis=0), As.max(axis=0) + 1
         frA = np.zeros(tuple(ahi - alo), dtype=bool)
         frA[tuple((As - alo).T)] = True
         slA = tuple(slice(int(a), int(b)) for a, b in zip(alo, ahi))
         frA &= layer_a[slA] < 0
         if not frA.any():
-            return layer_a, layer_b, None, -1
-        la = layer_a[slA]
-        la[frA] = depth
+            return stop()
+        layer_a[slA][frA] = depth
         fr, flo, fhi = frA, alo, ahi
 
 
@@ -201,27 +280,38 @@ def _first_true(mask) -> tuple | None:
     return tuple(int(x) for x in np.unravel_index(flat[0], mask.shape))
 
 
-def _walk_back(end, depth, layer_a, layer_b, a_match, offsets, m_cap, used_a=None, used_b=None):
+def _unravel(flat: int, shape) -> tuple:
+    """``np.unravel_index`` for one index, as a tuple of Python ints."""
+    out = []
+    for s in reversed(shape):
+        flat, r = divmod(flat, s)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a=None, used_b=None):
     """Reconstruct one shortest path from an unmatched B endpoint.
 
     Row-major smallest predecessor at each step; returns the node list
-    (B endpoint first) or None when disjointness masks block the walk.
+    (B endpoint first) or None when disjointness masks block the walk. The
+    predecessor is read from ``bfs.parent``; only when ``used_a`` already
+    holds it is the (2M+1)^d patch searched for the next free one.
     """
+    layer_a, parent = bfs.layer_a, bfs.parent
     sides = layer_a.shape
     nodes = [end]
     cur = end
-    lev = depth
+    lev = bfs.depth
     while lev > 0:
-        lo = tuple(max(0, c - m_cap) for c in cur)
-        hi = tuple(min(s, c + m_cap + 1) for c, s in zip(cur, sides))
-        patch = tuple(slice(a, b) for a, b in zip(lo, hi))
-        cand = layer_a[patch] == lev - 1
-        if used_a is not None:
-            cand &= ~used_a[patch]
-        pos = _first_true(cand)
-        if pos is None:
-            return None
-        a = tuple(p + l for p, l in zip(pos, lo))
+        a = _unravel(int(parent[cur]), sides)
+        if used_a is not None and used_a[a]:
+            lo = tuple(max(0, c - m_cap) for c in cur)
+            hi = tuple(min(s, c + m_cap + 1) for c, s in zip(cur, sides))
+            patch = tuple(slice(l, h) for l, h in zip(lo, hi))
+            pos = _first_true((layer_a[patch] == lev - 1) & ~used_a[patch])
+            if pos is None:
+                return None
+            a = tuple(p + l for p, l in zip(pos, lo))
         nodes.append(a)
         lev -= 1
         if lev == 0:
@@ -259,21 +349,17 @@ def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, start_mask=N
     if not (b_bits & (b_match < 0)).any():
         return 0  # no endpoint can exist, and the BFS writes no match grid
     offsets = offsets_row_major(m_cap, a_bits.ndim)
-    layer_a, layer_b, ends, depth = _layered_bfs(
-        a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask
-    )
-    if ends is None:
+    bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask)
+    if bfs.ends is None:
         return 0
     used_a = np.zeros_like(a_bits)
     used_b = np.zeros_like(a_bits)
     flips = 0
-    for flat in np.flatnonzero(ends.ravel()):
-        end = tuple(int(x) for x in np.unravel_index(flat, ends.shape))
+    for flat in np.flatnonzero(bfs.ends.ravel()):
+        end = _unravel(int(flat), a_bits.shape)
         if used_b[end]:
             continue
-        nodes = _walk_back(
-            end, depth, layer_a, layer_b, a_match, offsets, m_cap, used_a, used_b
-        )
+        nodes = _walk_back(end, bfs, a_match, offsets, m_cap, used_a, used_b)
         if nodes is None:
             continue
         _apply_flip(nodes, a_match, b_match, offsets, m_cap)
@@ -392,13 +478,10 @@ def bounded_augmenting_path(win: CosetWindow, R: Rect, m: Matching, max_len: int
     m_cap = win.sys.m_cap
     a_bits, b_bits = _local_bits(win, R)
     offsets = m.offsets
-    layer_a, layer_b, ends, depth = _layered_bfs(
-        a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap, max_len
-    )
-    if ends is None:
+    bfs = _layered_bfs(a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap, max_len)
+    if bfs.ends is None:
         return None
-    end = _first_true(ends)
-    nodes = _walk_back(end, depth, layer_a, layer_b, m.a_match, offsets, m_cap)
+    nodes = _walk_back(_first_true(bfs.ends), bfs, m.a_match, offsets, m_cap)
     return list(reversed(nodes))
 
 
@@ -456,11 +539,9 @@ def cover_side(a_in, b_in, m_cap, warm=None):
         return True, a_match, b_match, None
     big = 2 * a_in.size + 1
     offsets = offsets_row_major(m_cap, a_in.ndim)
-    layer_a, layer_b, ends, _ = _layered_bfs(
-        a_in, b_in, a_match, b_match, offsets, m_cap, big, start_mask=unmatched
-    )
+    bfs = _layered_bfs(a_in, b_in, a_match, b_match, offsets, m_cap, big, start_mask=unmatched)
     # no augmenting path exists, so reached cells form a deficient witness
-    return False, a_match, b_match, layer_a >= 0
+    return False, a_match, b_match, bfs.layer_a >= 0
 
 
 def hall_deficiency(win: CosetWindow, R: Rect, required_a: CellSet, required_b: CellSet):

@@ -3,11 +3,16 @@ import pytest
 
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
+from eqdec import matching
 from eqdec.matching import (
     Matching,
+    _first_true,
+    _layered_bfs,
+    augment_phase,
     bounded_augmenting_path,
     canonical_max_matching,
     flip,
+    greedy_offset_pass,
     hall_deficiency,
 )
 from eqdec.suites import _bfs_oracle, _bits_window, _enumerate_feasible, _random_matching
@@ -194,3 +199,163 @@ def test_matching_validate_catches_corruption():
     m.a_match[0, 0] = 4  # offset (0,0) in the 3x3 box
     with pytest.raises(ArgumentError):
         m.validate()
+
+
+def _offset_slices(sides, off):
+    src, dst = [], []
+    for s, o in zip(sides, off):
+        o = int(o)
+        a0, b0 = max(0, -o), max(0, o)
+        src.append(slice(a0, max(a0, s - max(0, o))))
+        dst.append(slice(b0, max(b0, s - max(0, -o))))
+    return tuple(src), tuple(dst)
+
+
+def _greedy_offset_pass_reference(
+    a_bits, b_bits, a_match, b_match, m_cap, region_id=None, reverse=False
+):
+    """The dense form of the greedy pass: whole-array masks per offset."""
+    offsets = offsets_row_major(m_cap, a_bits.ndim)
+    order = range(len(offsets) - 1, -1, -1) if reverse else range(len(offsets))
+    for k in order:
+        src, dst = _offset_slices(a_bits.shape, offsets[k])
+        cand = (a_bits[src] & (a_match[src] < 0)) & (b_bits[dst] & (b_match[dst] < 0))
+        if region_id is not None:
+            rs = region_id[src]
+            cand &= (rs >= 0) & (rs == region_id[dst])
+        if not cand.any():
+            continue
+        a_match[src][cand] = k
+        b_match[dst][cand] = k
+
+
+def test_greedy_offset_pass_matches_dense_reference():
+    rng = np.random.default_rng(11)
+    for d, side in ((2, 13), (3, 6)):
+        for m_cap in (1, 2, 3):
+            for trial in range(12):
+                shape = (side,) * d
+                a = rng.random(shape) < rng.uniform(0.2, 0.7)
+                b = rng.random(shape) < rng.uniform(0.2, 0.7)
+                if trial % 3 == 0:
+                    region = None
+                elif trial % 3 == 1:
+                    region = rng.integers(-1, 3, size=shape).astype(np.int32)
+                else:  # blocks, with scattered cells outside every region
+                    region = sum(
+                        (np.indices(shape)[ax] // 4) * 10**ax for ax in range(d)
+                    ).astype(np.int32)
+                    region[rng.random(shape) < 0.2] = -1
+                if trial % 2:
+                    pre = _random_matching(rng, a, b, m_cap)
+                    am0, bm0 = pre.a_match, pre.b_match
+                else:
+                    am0 = np.full(shape, -1, dtype=np.int32)
+                    bm0 = np.full(shape, -1, dtype=np.int32)
+                for reverse in (False, True):
+                    ref_a, ref_b = am0.copy(), bm0.copy()
+                    _greedy_offset_pass_reference(
+                        a, b, ref_a, ref_b, m_cap, region_id=region, reverse=reverse
+                    )
+                    # the pass under test writes into tile views of larger grids
+                    big_a = np.full((side + 5,) * d, -7, dtype=np.int32)
+                    big_b = big_a.copy()
+                    sl = tuple(slice(2, 2 + side) for _ in range(d))
+                    big_a[sl], big_b[sl] = am0, bm0
+                    greedy_offset_pass(
+                        a, b, big_a[sl], big_b[sl], m_cap, region_id=region, reverse=reverse
+                    )
+                    assert np.array_equal(big_a[sl], ref_a)
+                    assert np.array_equal(big_b[sl], ref_b)
+                    outside = np.ones(big_a.shape, dtype=bool)
+                    outside[sl] = False
+                    assert np.all(big_a[outside] == -7) and np.all(big_b[outside] == -7)
+
+
+def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a=None, used_b=None, log=None):
+    """The walk-back without parent pointers: search each (2M+1)^d patch.
+
+    ``log`` counts the steps where ``used_a`` holds the first candidate.
+    """
+    layer_a = bfs.layer_a
+    sides = layer_a.shape
+    nodes = [end]
+    cur = end
+    lev = bfs.depth
+    while lev > 0:
+        lo = tuple(max(0, c - m_cap) for c in cur)
+        hi = tuple(min(s, c + m_cap + 1) for c, s in zip(cur, sides))
+        patch = tuple(slice(l, h) for l, h in zip(lo, hi))
+        cand = layer_a[patch] == lev - 1
+        first = _first_true(cand)
+        if used_a is not None:
+            cand &= ~used_a[patch]
+        pos = _first_true(cand)
+        if log is not None and pos != first:
+            log.append(1)
+        if pos is None:
+            return None
+        a = tuple(p + l for p, l in zip(pos, lo))
+        nodes.append(a)
+        lev -= 1
+        if lev == 0:
+            break
+        b = tuple(int(c + o) for c, o in zip(a, offsets[a_match[a]]))
+        if used_b is not None and used_b[b]:
+            return None
+        nodes.append(b)
+        cur = b
+        lev -= 1
+    return nodes
+
+
+def test_bfs_parent_is_first_patch_cell_of_previous_layer():
+    rng = np.random.default_rng(17)
+    for d, side, m_cap in ((2, 9, 1), (2, 10, 2), (3, 5, 1)):
+        offsets = offsets_row_major(m_cap, d)
+        for _ in range(60):
+            a = rng.random((side,) * d) < 0.4
+            b = rng.random((side,) * d) < 0.4
+            m = _random_matching(rng, a, b, m_cap)
+            start = rng.random(a.shape) < 0.5 if rng.random() < 0.3 else None
+            for cap in (1, 3, 99):
+                bfs = _layered_bfs(a, b, m.a_match, m.b_match, offsets, m_cap, cap, start)
+                for cell in np.argwhere(bfs.layer_b >= 0):
+                    cell = tuple(cell)
+                    lev = bfs.layer_b[cell]
+                    patch = tuple(
+                        slice(max(0, c - m_cap), min(side, c + m_cap + 1)) for c in cell
+                    )
+                    pos = _first_true(bfs.layer_a[patch] == lev - 1)
+                    first = tuple(p + s.start for p, s in zip(pos, patch))
+                    assert bfs.parent[cell] == np.ravel_multi_index(first, a.shape)
+    # with no free start cell nothing is labelled
+    a = np.zeros((4, 4), dtype=bool)
+    free = np.full((4, 4), -1, dtype=np.int32)
+    bfs = _layered_bfs(a, a, free, free, offsets_row_major(1, 2), 1, 9)
+    assert bfs.ends is None and bfs.depth == -1
+    assert np.all(bfs.layer_a == -1) and np.all(bfs.layer_b == -1)
+
+
+def test_augment_phase_equals_patch_search_walk_back(monkeypatch):
+    rng = np.random.default_rng(23)
+    fallbacks = []
+
+    def patch_only(*args, **kwargs):
+        return _walk_back_patch_only(*args, **kwargs, log=fallbacks)
+
+    for d, side, m_cap in ((2, 12, 1), (2, 12, 2), (3, 6, 1)):
+        for _ in range(40):
+            a = rng.random((side,) * d) < 0.5
+            b = rng.random((side,) * d) < 0.5
+            m = _random_matching(rng, a, b, m_cap)
+            for cap in (3, 99):
+                got_a, got_b = m.a_match.copy(), m.b_match.copy()
+                flips = augment_phase(a, b, got_a, got_b, m_cap, cap)
+                ref_a, ref_b = m.a_match.copy(), m.b_match.copy()
+                with monkeypatch.context() as mp:
+                    mp.setattr(matching, "_walk_back", patch_only)
+                    ref_flips = augment_phase(a, b, ref_a, ref_b, m_cap, cap)
+                assert flips == ref_flips
+                assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
+    assert fallbacks  # some walk-backs found their parent already used
