@@ -299,8 +299,9 @@ def _region_greedy(win, m, region, lows=None, mutant=False):
     else:
         even_ids, odd_ids = _parity_split(region, lows)
         greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=even_ids)
+        backward = range(len(m.offsets) - 1, -1, -1)
         greedy_offset_pass(
-            a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=odd_ids, reverse=True
+            a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=odd_ids, order=backward
         )
 
 
@@ -356,11 +357,13 @@ def _dirty_cubes(dom: GridDomain, prev: GridDomain) -> np.ndarray:
     valid = ids >= 0
     uncovered = (prev.cube_id.ravel() < 0) & valid
     c_uncov = np.bincount(ids[uncovered], minlength=n)
-    own = prev.owner.ravel().astype(np.int64)
-    omin = np.full(n, np.iinfo(np.int64).max)
-    omax = np.full(n, -2, dtype=np.int64)
-    np.minimum.at(omin, ids[valid], own[valid])
-    np.maximum.at(omax, ids[valid], own[valid])
+    # one int32 gather of each grid; owners are int32 and -1 at ties
+    cube = ids[valid]
+    own = prev.owner.ravel()[valid]
+    omin = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
+    omax = np.full(n, -2, dtype=np.int32)
+    np.minimum.at(omin, cube, own)
+    np.maximum.at(omax, cube, own)
     return np.flatnonzero((c_uncov > 0) | (omin != omax))
 
 

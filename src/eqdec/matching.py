@@ -3,9 +3,15 @@
 Edges join A-cells to B-cells at sup-norm distance at most M. Matchings are
 stored as per-cell offset indices (row-major index into the offset box), with
 a consistently maintained inverse map. The canonical maximum matching is the
-offset-greedy pass followed by shortest-augmenting-path phases with row-major
-tie-breaks; it is a pure function of the window content, so translating the
-content translates the matching.
+offset-greedy pass, offsets in row-major order, followed by
+shortest-augmenting-path phases with row-major tie-breaks; it is a pure
+function of the window content, so translating the content translates the
+matching. ``ladder_max_matching`` is not canonical in that sense: its greedy
+pass takes offsets nearest-first, which leaves far fewer augmenting paths.
+Its callers (the Baire pipeline's coverage checks) read only a feasibility
+verdict, and the deficient cells behind a negative one, the same for every
+maximum matching; so its order is free, and the square pipeline, whose bytes
+are the canonical matching, never calls it.
 
 Two kernels carry most of the work. The greedy pass walks a shrinking list of
 free A-cells, as flat indices into grids padded by M, instead of sweeping
@@ -17,6 +23,7 @@ parent already lies on a path flipped in the same phase.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,14 +38,22 @@ from eqdec.window import CosetWindow
 __all__ = [
     "Matching",
     "HallCertificate",
-    "canonical_max_matching",
     "bounded_augmenting_path",
-    "flip",
     "hall_deficiency",
 ]
 
 # Cube side of the ladder's greedy pass, before rounding up past 2M.
 LADDER_BASE = 16
+
+
+@functools.lru_cache(maxsize=64)
+def _offsets_nearest_first(m_cap: int, d: int) -> np.ndarray:
+    """Indices into ``offsets_row_major(m_cap, d)``, sup-norm ascending, then
+    l1 ascending, then row-major. Cached per (m_cap, d) and read-only."""
+    mag = np.abs(offsets_row_major(m_cap, d))
+    order = np.lexsort((mag.sum(axis=1), mag.max(axis=1)))  # stable: ties stay row-major
+    order.flags.writeable = False
+    return order
 
 
 class Matching:
@@ -106,13 +121,12 @@ class Matching:
 # Core routines operating on local (sliced) arrays
 
 
-def greedy_offset_pass(
-    a_bits, b_bits, a_match, b_match, m_cap, region_id=None, reverse=False
-):
-    """Match every free (a, a+v) pair, offsets in row-major order.
+def greedy_offset_pass(a_bits, b_bits, a_match, b_match, m_cap, region_id=None, order=None):
+    """Match every free (a, a+v) pair, one offset v after another.
 
-    Pairs within one offset never conflict. With ``region_id`` given, pairs
-    must share a non-negative region label.
+    ``order`` lists the offset indices to take, row-major when None. Pairs
+    within one offset never conflict. With ``region_id`` given, pairs must
+    share a non-negative region label.
 
     Sparse form of the dense per-offset sweep: the free A-cells (in a region)
     are listed once as flat indices into copies padded by M on every side,
@@ -121,7 +135,8 @@ def greedy_offset_pass(
     """
     d = a_bits.ndim
     offsets = offsets_row_major(m_cap, d)
-    order = range(len(offsets) - 1, -1, -1) if reverse else range(len(offsets))
+    if order is None:
+        order = range(len(offsets))
     padded = tuple(s + 2 * m_cap for s in a_bits.shape)
     inner = tuple(slice(m_cap, m_cap + s) for s in a_bits.shape)
     free = np.zeros(padded, dtype=bool)
@@ -406,11 +421,18 @@ def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
     Greedy matching confined to base-size cubes, then augmentation over
     doubling cube tilings: imbalances cancel at the smallest scale where they
     meet, so only the array-wide surplus needs long paths.
+
+    The greedy pass takes offsets nearest-first: a cell paired with its
+    nearest free partner rarely blocks another, whereas the canonical
+    row-major order pairs each A-cell with its far (-M, ..., -M) corner first
+    and leaves many more augmenting paths to walk. Which maximum matching
+    results is free, since every caller reads only a feasibility verdict;
+    the canonical greedy of the square pipeline stays row-major.
     """
     base = 1 << max(LADDER_BASE - 1, 2 * m_cap).bit_length()
-    greedy_offset_pass(
-        a_bits, b_bits, a_match, b_match, m_cap, region_id=aligned_cube_ids(a_bits.shape, base)
-    )
+    region = aligned_cube_ids(a_bits.shape, base)
+    order = _offsets_nearest_first(m_cap, a_bits.ndim)
+    greedy_offset_pass(a_bits, b_bits, a_match, b_match, m_cap, region_id=region, order=order)
     return hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, base=base)
 
 
@@ -451,21 +473,6 @@ def _local_bits(win: CosetWindow, R: Rect):
     return win.a_bits.bits[sl], win.b_bits.bits[sl]
 
 
-def canonical_max_matching(win: CosetWindow, R: Rect) -> Matching:
-    """The canonical maximum matching of the subgraph induced by R.
-
-    Offset-greedy initialization followed by shortest-path augmentation; the
-    result depends only on the induced content, not on where R sits.
-    """
-    m_cap = win.sys.m_cap
-    a_bits, b_bits = _local_bits(win, R)
-    m = Matching(R, m_cap)
-    greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m_cap)
-    augment_to_max(a_bits, b_bits, m.a_match, m.b_match, m_cap)
-    m.validate(a_bits, b_bits)
-    return m
-
-
 def bounded_augmenting_path(win: CosetWindow, R: Rect, m: Matching, max_len: int):
     """Shortest augmenting path of length <= max_len inside R, or None.
 
@@ -483,30 +490,6 @@ def bounded_augmenting_path(win: CosetWindow, R: Rect, m: Matching, max_len: int
         return None
     nodes = _walk_back(_first_true(bfs.ends), bfs, m.a_match, offsets, m_cap)
     return list(reversed(nodes))
-
-
-def flip(m: Matching, path) -> Matching:
-    """Flip an augmenting path (as returned by bounded_augmenting_path)."""
-    if not path or len(path) % 2 != 0:
-        raise ArgumentError("augmenting path must alternate A,B,...,B")
-    first, last = path[0], path[-1]
-    if m.a_match[tuple(first)] >= 0 or m.b_match[tuple(last)] >= 0:
-        raise ArgumentError("path endpoints must be unmatched")
-    for prev, cur in zip(path, path[1:]):
-        if max(abs(int(p) - int(c)) for p, c in zip(prev, cur)) > m.m_cap:
-            raise ArgumentError("consecutive path cells are not graph neighbours")
-    for i in range(1, len(path) - 1, 2):
-        b, a = path[i], path[i + 1]
-        k = m.a_match[tuple(a)]
-        if k < 0 or m.b_match[tuple(b)] != k:
-            raise ArgumentError("interior path edges must alternate with matched edges")
-        off = m.offsets[k]
-        if tuple(aa + oo for aa, oo in zip(a, off)) != tuple(b):
-            raise ArgumentError("interior pair is not a matched edge")
-    out = m.copy()
-    _apply_flip(list(reversed(path)), out.a_match, out.b_match, out.offsets, m.m_cap)
-    out.validate()
-    return out
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, internal_boundary, isoperimetry_check, perimeter
 from eqdec.matching import (
     Matching,
+    _apply_flip,
+    _local_bits,
+    augment_to_max,
     bounded_augmenting_path,
+    greedy_offset_pass,
     hall_deficiency,
 )
 from eqdec.torus import AxisSquare, Disk, TorusPoint, offsets_row_major, sample_free_system
@@ -130,6 +135,46 @@ def _random_matching(rng, a_bits, b_bits, m_cap):
             m.a_match[tuple(cell)] = k
             m.b_match[nb] = k
     return m
+
+
+def _canonical_max_matching(win: CosetWindow, R: Rect) -> Matching:
+    """The canonical maximum matching of the subgraph induced by R.
+
+    Row-major offset-greedy initialization followed by shortest-path
+    augmentation, as the square pipeline matches each cube; the result
+    depends only on the induced content, not on where R sits.
+    """
+    m_cap = win.sys.m_cap
+    a_bits, b_bits = _local_bits(win, R)
+    m = Matching(R, m_cap)
+    greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m_cap)
+    augment_to_max(a_bits, b_bits, m.a_match, m.b_match, m_cap)
+    m.validate(a_bits, b_bits)
+    return m
+
+
+def _flip(m: Matching, path) -> Matching:
+    """Flip an augmenting path (as returned by bounded_augmenting_path)."""
+    if not path or len(path) % 2 != 0:
+        raise ArgumentError("augmenting path must alternate A,B,...,B")
+    first, last = path[0], path[-1]
+    if m.a_match[tuple(first)] >= 0 or m.b_match[tuple(last)] >= 0:
+        raise ArgumentError("path endpoints must be unmatched")
+    for prev, cur in zip(path, path[1:]):
+        if max(abs(int(p) - int(c)) for p, c in zip(prev, cur)) > m.m_cap:
+            raise ArgumentError("consecutive path cells are not graph neighbours")
+    for i in range(1, len(path) - 1, 2):
+        b, a = path[i], path[i + 1]
+        k = m.a_match[tuple(a)]
+        if k < 0 or m.b_match[tuple(b)] != k:
+            raise ArgumentError("interior path edges must alternate with matched edges")
+        off = m.offsets[k]
+        if tuple(aa + oo for aa, oo in zip(a, off)) != tuple(b):
+            raise ArgumentError("interior pair is not a matched edge")
+    out = m.copy()
+    _apply_flip(list(reversed(path)), out.a_match, out.b_match, out.offsets, m.m_cap)
+    out.validate()
+    return out
 
 
 def suite_short_augmenting(seed: int, trials: int = 1000):

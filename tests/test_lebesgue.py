@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from eqdec import lebesgue, matching
 from eqdec.cli import _setup
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
@@ -16,7 +17,7 @@ from eqdec.lebesgue import (
     rematch_dirty_cubes,
     run_pipeline,
 )
-from eqdec.matching import canonical_max_matching
+from eqdec.suites import _canonical_max_matching
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, sample_free_system
 from eqdec.window import CosetWindow, extract_window
 
@@ -167,6 +168,20 @@ def test_square_run_golden_hash(ladder):
     assert digest == GOLDEN_SQUARE[ladder]
 
 
+@pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
+def test_square_pipeline_never_runs_the_ladder(monkeypatch, ladder):
+    # ladder_max_matching (nearest-first greedy) and hierarchy_augment may
+    # pick any maximum matching only because no square run reaches them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the square pipeline called a Baire-only matcher")
+
+    for mod in (matching, lebesgue):
+        for name in ("ladder_max_matching", "hierarchy_augment"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 256})
+    run_pipeline(win, build_schedule(win, ladder, 1), 1)
+
+
 def test_init_m0_edges_inside_cubes_and_oracle_size():
     win = _window(64)
     sched = build_schedule(win, (8, 32), levels=0)
@@ -183,7 +198,7 @@ def test_init_m0_edges_inside_cubes_and_oracle_size():
     # per-cube size equals the canonical per-rect matching
     for ci in (0, len(dom.cube_lows) // 2, len(dom.cube_lows) - 1):
         rect = dom.cube_rect(ci)
-        standalone = canonical_max_matching(win, rect)
+        standalone = _canonical_max_matching(win, rect)
         sl = rect.slices_in(win.window)
         assert (m.a_match[sl] >= 0).sum() == standalone.size()
         assert np.array_equal(m.a_match[sl], standalone.a_match)

@@ -2,20 +2,29 @@ import numpy as np
 import pytest
 
 from eqdec.errors import ArgumentError
-from eqdec.lattice import CellSet, Rect
+from eqdec.lattice import CellSet, Rect, dilate
 from eqdec import matching
 from eqdec.matching import (
+    LADDER_BASE,
     Matching,
     _first_true,
     _layered_bfs,
+    _offsets_nearest_first,
     augment_phase,
     bounded_augmenting_path,
-    canonical_max_matching,
-    flip,
+    cover_side,
     greedy_offset_pass,
     hall_deficiency,
+    ladder_max_matching,
 )
-from eqdec.suites import _bfs_oracle, _bits_window, _enumerate_feasible, _random_matching
+from eqdec.suites import (
+    _bfs_oracle,
+    _bits_window,
+    _canonical_max_matching,
+    _enumerate_feasible,
+    _flip,
+    _random_matching,
+)
 from eqdec.torus import offsets_row_major
 
 
@@ -47,12 +56,12 @@ def test_canonical_matching_trivial():
     R = Rect((0, 0), (4, 4))
     empty = np.zeros((4, 4), dtype=bool)
     win = _bits_window(CellSet(R, empty), CellSet(R, empty), 2)
-    assert canonical_max_matching(win, R).size() == 0
+    assert _canonical_max_matching(win, R).size() == 0
 
     one = empty.copy()
     one[1, 1] = True
     win = _bits_window(CellSet(R, one), CellSet(R, one.copy()), 2)
-    m = canonical_max_matching(win, R)
+    m = _canonical_max_matching(win, R)
     assert m.size() == 1
     assert m.partner_of((1, 1)) == (1, 1)
 
@@ -64,7 +73,7 @@ def test_canonical_matching_vs_max_flow_oracle():
         a = rng.random((12, 12)) < rng.uniform(0.1, 0.6)
         b = rng.random((12, 12)) < rng.uniform(0.1, 0.6)
         win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
-        m = canonical_max_matching(win, R)
+        m = _canonical_max_matching(win, R)
         m.validate(a, b)
         assert m.size() == scipy_max_matching_size(a, b, 2)
 
@@ -81,8 +90,8 @@ def test_canonical_matching_translation_covariant():
     big_b[37:47, 20:30] = b
     big = Rect((-11, 4), (60, 60))
     win = _bits_window(CellSet(big, big_a), CellSet(big, big_b), 3)
-    m1 = canonical_max_matching(win, Rect((-11 + 5, 4 + 5), (10, 10)))
-    m2 = canonical_max_matching(win, Rect((-11 + 37, 4 + 20), (10, 10)))
+    m1 = _canonical_max_matching(win, Rect((-11 + 5, 4 + 5), (10, 10)))
+    m2 = _canonical_max_matching(win, Rect((-11 + 37, 4 + 20), (10, 10)))
     assert np.array_equal(m1.a_match, m2.a_match)
     assert np.array_equal(m1.b_match, m2.b_match)
 
@@ -133,7 +142,7 @@ def test_flip_examples_and_counting():
         path = bounded_augmenting_path(win, R, m, 12)
         if path is None:
             break
-        m = flip(m, path)
+        m = _flip(m, path)
         m.validate(a, b)
         sizes.append(m.size())
     assert sizes == list(range(len(sizes)))  # size grows by exactly one per flip
@@ -143,9 +152,9 @@ def test_flip_rejects_bad_paths():
     R = Rect((0, 0), (4, 4))
     m = Matching(R, 1)
     with pytest.raises(ArgumentError):
-        flip(m, [(0, 0)])
+        _flip(m, [(0, 0)])
     with pytest.raises(ArgumentError):
-        flip(m, [(0, 0), (3, 3)])  # not an alternating structure on matched cells
+        _flip(m, [(0, 0), (3, 3)])  # not an alternating structure on matched cells
 
 
 def test_hall_deficiency_examples():
@@ -211,12 +220,9 @@ def _offset_slices(sides, off):
     return tuple(src), tuple(dst)
 
 
-def _greedy_offset_pass_reference(
-    a_bits, b_bits, a_match, b_match, m_cap, region_id=None, reverse=False
-):
+def _greedy_offset_pass_reference(a_bits, b_bits, a_match, b_match, m_cap, region_id, order):
     """The dense form of the greedy pass: whole-array masks per offset."""
     offsets = offsets_row_major(m_cap, a_bits.ndim)
-    order = range(len(offsets) - 1, -1, -1) if reverse else range(len(offsets))
     for k in order:
         src, dst = _offset_slices(a_bits.shape, offsets[k])
         cand = (a_bits[src] & (a_match[src] < 0)) & (b_bits[dst] & (b_match[dst] < 0))
@@ -252,24 +258,70 @@ def test_greedy_offset_pass_matches_dense_reference():
                 else:
                     am0 = np.full(shape, -1, dtype=np.int32)
                     bm0 = np.full(shape, -1, dtype=np.int32)
-                for reverse in (False, True):
+                n_off = (2 * m_cap + 1) ** d
+                orders = (  # (argument, the order it means)
+                    (None, range(n_off)),
+                    (range(n_off - 1, -1, -1),) * 2,
+                    (_offsets_nearest_first(m_cap, d),) * 2,
+                )
+                for order, ref_order in orders:
                     ref_a, ref_b = am0.copy(), bm0.copy()
-                    _greedy_offset_pass_reference(
-                        a, b, ref_a, ref_b, m_cap, region_id=region, reverse=reverse
-                    )
+                    _greedy_offset_pass_reference(a, b, ref_a, ref_b, m_cap, region, ref_order)
                     # the pass under test writes into tile views of larger grids
                     big_a = np.full((side + 5,) * d, -7, dtype=np.int32)
                     big_b = big_a.copy()
                     sl = tuple(slice(2, 2 + side) for _ in range(d))
                     big_a[sl], big_b[sl] = am0, bm0
                     greedy_offset_pass(
-                        a, b, big_a[sl], big_b[sl], m_cap, region_id=region, reverse=reverse
+                        a, b, big_a[sl], big_b[sl], m_cap, region_id=region, order=order
                     )
                     assert np.array_equal(big_a[sl], ref_a)
                     assert np.array_equal(big_b[sl], ref_b)
                     outside = np.ones(big_a.shape, dtype=bool)
                     outside[sl] = False
                     assert np.all(big_a[outside] == -7) and np.all(big_b[outside] == -7)
+
+
+def test_offsets_nearest_first_order():
+    for m_cap, d in ((1, 2), (3, 2), (2, 3)):
+        offs = offsets_row_major(m_cap, d)
+        order = _offsets_nearest_first(m_cap, d)
+        assert sorted(order) == list(range(len(offs)))
+        mag = np.abs(offs[order])
+        keys = list(zip(mag.max(axis=1), mag.sum(axis=1), order))
+        assert keys == sorted(keys)  # sup-norm, then l1, then row-major
+        assert not order.flags.writeable
+
+
+def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
+    rng = np.random.default_rng(29)
+    shape = (37, 45)
+    for m_cap in (1, 2, 3):
+        # the ladder's base is LADDER_BASE, so at least two scales run
+        assert 2 * m_cap < LADDER_BASE < max(shape)
+        for _ in range(3):
+            a = rng.random(shape) < rng.uniform(0.2, 0.6)
+            b = rng.random(shape) < rng.uniform(0.2, 0.6)
+            am = np.full(shape, -1, dtype=np.int32)
+            bm = np.full(shape, -1, dtype=np.int32)
+            ladder_max_matching(a, b, am, bm, m_cap)
+            m = Matching(Rect((0, 0), shape), m_cap, am, bm)
+            m.validate(a, b)
+            assert m.size() == scipy_max_matching_size(a, b, m_cap)
+            # a required subset of A, covered into B: cold, then warm-seeded
+            # from a partial matching
+            req = a & (rng.random(shape) < rng.uniform(0.3, 1.0))
+            want = scipy_max_matching_size(req, b, m_cap)
+            pre = _random_matching(rng, req, b, m_cap)
+            for warm in (None, (pre.a_match, pre.b_match)):
+                ok, am, bm, witness = cover_side(req, b, m_cap, warm=warm)
+                m = Matching(Rect((0, 0), shape), m_cap, am, bm)
+                m.validate(req, b)
+                assert m.size() == want
+                assert ok == (want == int(req.sum()))
+                if not ok:  # the witness is a Hall-deficient set of A-cells
+                    assert not np.any(witness & ~req)
+                    assert int((dilate(witness, m_cap) & b).sum()) < int(witness.sum())
 
 
 def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a=None, used_b=None, log=None):
