@@ -39,12 +39,12 @@ __all__ = [
 ]
 
 # Side of the aligned cubes that bound the warm start's matching: no edge of
-# it and no augmenting phase behind it reaches past one tile. The cap cannot
+# it and no augmenting sweep behind it reaches past one tile. The cap cannot
 # change the output, since cover_side's verdict does not depend on its warm
-# seed; it only trims the window-wide phases that each flip a path or two.
-# 256 was the fastest of 128, 256 and 512 on both benchmark Baire workloads.
-# With the ladder's nearest-first greedy, 128 was faster on the shallow one
-# and slower on the deep one, so 256 stays.
+# seed; it only trims the window-wide sweeps that each flip a path or two.
+# Swept with the forest sweeps in place, at ladder bases 32 to 256: 256 was
+# the fastest of 128, 256 and 512 on the deep benchmark Baire workload and
+# the 1536² acceptance run; 128 was faster on the shallow workload only.
 WARM_TILE = 256
 
 

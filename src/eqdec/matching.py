@@ -6,19 +6,24 @@ a consistently maintained inverse map. The canonical maximum matching is the
 offset-greedy pass, offsets in row-major order, followed by
 shortest-augmenting-path phases with row-major tie-breaks; it is a pure
 function of the window content, so translating the content translates the
-matching. ``ladder_max_matching`` is not canonical in that sense: its greedy
-pass takes offsets nearest-first, which leaves far fewer augmenting paths.
-Its callers (the Baire pipeline's coverage checks) read only a feasibility
+matching. ``ladder_max_matching`` and ``hierarchy_augment`` are not canonical
+in that sense: the ladder's greedy pass takes offsets nearest-first, which
+leaves far fewer augmenting paths, and both augment by multi-source BFS
+forest sweeps (``_forest_sweep``), which flip up to one path per free A-cell
+whatever its length, where a shortest-path phase flips only the shortest.
+Their callers (the Baire pipeline's coverage checks) read only a feasibility
 verdict, and the deficient cells behind a negative one, the same for every
-maximum matching; so its order is free, and the square pipeline, whose bytes
-are the canonical matching, never calls it.
+maximum matching; so which maximum matching they reach is free, and the
+square pipeline, whose bytes are the canonical matching, never calls them.
 
-Two kernels carry most of the work. The greedy pass walks a shrinking list of
-free A-cells, as flat indices into grids padded by M, instead of sweeping
-whole arrays per offset. The layered BFS records each reached B-cell's
-parent (the row-major first A-cell of the previous layer within M), so a
-walk-back step is one lookup; it searches the (2M+1)^d patch only when the
-parent already lies on a path flipped in the same phase.
+Three kernels carry most of the work. The greedy pass walks a shrinking list
+of free A-cells, as flat indices into grids padded by M, instead of sweeping
+whole arrays per offset. The A -> B step shared by the layered BFS and the
+forest (``_a_to_b``) is one int32 ``minimum_filter`` that also yields each
+reached B-cell's parent, the row-major first frontier A-cell within M. So a
+walk-back step is one lookup; the layered BFS's walk-back searches the
+(2M+1)^d patch only when the parent already lies on a path flipped in the
+same phase, and the forest's never does.
 """
 
 from __future__ import annotations
@@ -42,8 +47,10 @@ __all__ = [
     "hall_deficiency",
 ]
 
-# Cube side of the ladder's greedy pass, before rounding up past 2M.
-LADDER_BASE = 16
+# Cube side of the ladder's greedy pass and first scale of hierarchy_augment,
+# before rounding up past 2M. 128 was the fastest of 32, 64, 128 and 256 on
+# the deep benchmark Baire workload at every warm-start tile side.
+LADDER_BASE = 128
 
 
 @functools.lru_cache(maxsize=64)
@@ -201,7 +208,41 @@ class BfsLayers(NamedTuple):
     parent: np.ndarray
 
 
+# int32 on purpose: scipy passes ``cval`` through a double, and an int64-max
+# sentinel does not survive the round trip
 _NO_PARENT = np.iinfo(np.int32).max
+
+
+def _a_to_b(pts, b_bits, label_b, m_cap):
+    """One A -> B step of an alternating BFS from the frontier A-cells ``pts``.
+
+    Returns (bs, parents): the B-cells within M of a frontier cell and still
+    unlabelled (``label_b`` < 0), as an (n, d) array in row-major order, and
+    for each its parent, the row-major first frontier cell within M, as a
+    row-major flat index into the array. Work is confined to the frontier's
+    bounding box grown by M, where one int32 ``minimum_filter`` over the
+    frontier's flat indices yields both: flat indices grow in row-major order.
+    """
+    shape = b_bits.shape
+    lo = np.maximum(pts.min(axis=0) - m_cap, 0)
+    hi = np.minimum(pts.max(axis=0) + m_cap + 1, shape)
+    sl = tuple(map(slice, lo.tolist(), hi.tolist()))
+    bshape = tuple((hi - lo).tolist())
+    nearest = np.full(bshape, _NO_PARENT, dtype=np.int32)
+    nearest[tuple((pts - lo).T)] = np.ravel_multi_index(tuple(pts.T), shape)
+    nearest = minimum_filter(nearest, size=2 * m_cap + 1, mode="constant", cval=_NO_PARENT)
+    reach = b_bits[sl] & (label_b[sl] < 0)
+    reach &= nearest != _NO_PARENT
+    reach = np.nonzero(reach)
+    return np.stack(reach, axis=1) + lo, nearest[reach]
+
+
+def _partners_inside(bs, b_match, offsets, shape):
+    """The matched partners of the B-cells ``bs``, and the mask of those
+    inside the array: partners outside (edges crossing the region boundary)
+    cannot be rematched from here, so a path stops at them."""
+    As = bs - offsets[b_match[tuple(bs.T)]]
+    return As, np.all(As >= 0, axis=1) & np.all(As < shape, axis=1)
 
 
 def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask=None):
@@ -209,12 +250,11 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, star
 
     Returns a ``BfsLayers``. Layers hold edge-distances: even on the A side,
     odd on the B side. Work per layer is confined to the frontier's bounding
-    box, which keeps long single-source searches cheap. Each A -> B step runs
-    a ``minimum_filter`` over the frontier's row-major indices: it yields the
-    reached B-cells and, for each, its parent (the row-major first frontier
-    cell within M), so the walk-back need not search a patch. With no start
-    cell, the grids returned are read-only views of -1 and nothing is
-    allocated.
+    box, which keeps long single-source searches cheap. Each A -> B step
+    (``_a_to_b``) yields the reached B-cells and, for each, its parent (the
+    row-major first frontier cell within M), so the walk-back need not search
+    a patch. With no start cell, the grids returned are read-only views of -1
+    and nothing is allocated.
     """
     front_full = a_bits & (a_match < 0)
     if start_mask is not None:
@@ -223,14 +263,11 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, star
         unlabelled = np.broadcast_to(np.int32(-1), a_bits.shape)
         return BfsLayers(unlabelled, unlabelled, None, -1, unlabelled)
     shape = a_bits.shape
-    sides = np.array(shape)
     layer_a = np.full(shape, -1, dtype=np.int32)
     layer_b = np.full(shape, -1, dtype=np.int32)
     parent = np.full(shape, -1, dtype=np.int32)
-    layer_a[front_full] = 0
     pts = np.argwhere(front_full)
-    flo, fhi = pts.min(axis=0), pts.max(axis=0) + 1
-    fr = front_full[tuple(slice(int(a), int(b)) for a, b in zip(flo, fhi))].copy()
+    layer_a[tuple(pts.T)] = 0
     depth = 0
 
     def stop():
@@ -240,52 +277,27 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, star
         depth += 1  # step A -> B over any edge
         if depth > cap_len:
             return stop()
-        nlo = np.maximum(flo - m_cap, 0)
-        nhi = np.minimum(fhi + m_cap, sides)
-        sl = tuple(slice(int(a), int(b)) for a, b in zip(nlo, nhi))
-        bshape = tuple(int(x) for x in nhi - nlo)
-        box = np.zeros(bshape, dtype=bool)
-        box[tuple(slice(int(a - c), int(b - c)) for a, b, c in zip(flo, fhi, nlo))] = fr
-        # row-major order inside the box is row-major order in the array, so
-        # the smallest box-local index within M is the first frontier cell
-        nearest = np.full(bshape, _NO_PARENT, dtype=np.int32)
-        local = np.flatnonzero(box)
-        np.put(nearest, local, local)
-        nearest = minimum_filter(nearest, size=2 * m_cap + 1, mode="constant", cval=_NO_PARENT)
-        reach = (nearest != _NO_PARENT) & b_bits[sl] & (layer_b[sl] < 0)
-        if not reach.any():
+        bs, parents = _a_to_b(pts, b_bits, layer_b, m_cap)
+        if len(bs) == 0:
             return stop()
-        layer_b[sl][reach] = depth
-        cells = np.unravel_index(nearest[reach], bshape)
-        parent[sl][reach] = np.ravel_multi_index(
-            tuple(c + int(o) for c, o in zip(cells, nlo)), shape
-        )
-        ends = reach & (b_match[sl] < 0)
-        if ends.any():
-            full = np.zeros(shape, dtype=bool)
-            full[sl] = ends
-            return BfsLayers(layer_a, layer_b, full, depth, parent)
+        cells = tuple(bs.T)
+        layer_b[cells] = depth
+        parent[cells] = parents
+        free = b_match[cells] < 0
+        if free.any():
+            ends = np.zeros(shape, dtype=bool)
+            ends[tuple(bs[free].T)] = True
+            return BfsLayers(layer_a, layer_b, ends, depth, parent)
         depth += 1  # step B -> A over matched edges
         if depth > cap_len:
             return stop()
-        bs = np.argwhere(reach) + nlo
-        ks = b_match[tuple(bs.T)]
-        As = bs - offsets[ks]
-        # partners outside the array (edges crossing the region boundary)
-        # cannot be rematched from here, so the path stops at them
-        inb = np.all(As >= 0, axis=1) & np.all(As < sides, axis=1)
-        As = As[inb]
-        if len(As) == 0:
+        # a matched A-cell is reached only from its partner, which the
+        # A -> B step labels once, so no A-cell is labelled twice
+        As, inside = _partners_inside(bs, b_match, offsets, shape)
+        pts = As[inside]
+        if len(pts) == 0:
             return stop()
-        alo, ahi = As.min(axis=0), As.max(axis=0) + 1
-        frA = np.zeros(tuple(ahi - alo), dtype=bool)
-        frA[tuple((As - alo).T)] = True
-        slA = tuple(slice(int(a), int(b)) for a, b in zip(alo, ahi))
-        frA &= layer_a[slA] < 0
-        if not frA.any():
-            return stop()
-        layer_a[slA][frA] = depth
-        fr, flo, fhi = frA, alo, ahi
+        layer_a[tuple(pts.T)] = depth
 
 
 def _first_true(mask) -> tuple | None:
@@ -395,6 +407,66 @@ def augment_to_max(a_bits, b_bits, a_match, b_match, m_cap):
         total += flips
 
 
+def _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):
+    """One sweep of a multi-source BFS forest; returns the paths flipped.
+
+    Grows vertex-disjoint alternating trees from every free A-cell at once,
+    one ``_a_to_b`` step per layer: a reached B-cell joins its parent's tree,
+    and a B-cell's matched partner joins the same tree (partners outside the
+    array stop the path, as in ``_layered_bfs``). A tree stops at its first
+    free B-cell, the row-major first of the layer where it meets one; each
+    finished tree then flips that path by following parent pointers, so one
+    sweep augments along up to one path per tree, whatever their lengths
+    (Pothen and Fan, ACM TOMS 16(4), 1990; Azad, Buluç and Pothen, IEEE TPDS
+    28(1), 2017). The match grids may be views: they are written only
+    through index tuples. ``labels`` is int32 scratch of shape
+    ``(2,) + a_bits.shape``, overwritten. A sweep that flips nothing
+    certifies a maximum matching, since no tree then stopped early and the
+    forest reached every cell an augmenting path could reach.
+    """
+    shape = a_bits.shape
+    roots = a_bits & (a_match < 0)
+    if not roots.any() or not (b_bits & (b_match < 0)).any():
+        return 0
+    offsets = offsets_row_major(m_cap, a_bits.ndim)
+    box = (2 * m_cap + 1,) * a_bits.ndim
+    pts = np.argwhere(roots)
+    tree = np.arange(len(pts), dtype=np.int32)  # tree of each frontier cell
+    labels.fill(-1)
+    tree_a, parent = labels  # parent: flat index of each labelled B-cell's parent
+    done = np.zeros(len(pts), dtype=bool)
+    ends = []
+    while len(pts):
+        tree_a[tuple(pts.T)] = tree
+        bs, parents = _a_to_b(pts, b_bits, parent, m_cap)
+        if len(bs) == 0:
+            break
+        cells = tuple(bs.T)
+        parent[cells] = parents
+        t = np.take(tree_a, parents)
+        free = b_match[cells] < 0
+        if free.any():
+            finished, first = np.unique(t[free], return_index=True)
+            ends.append(bs[free][first])
+            done[finished] = True
+        grow = ~done[t]  # excludes free cells: their trees are done
+        As, inside = _partners_inside(bs[grow], b_match, offsets, shape)
+        pts, tree = As[inside], t[grow][inside]
+    if not ends:
+        return 0
+    b = np.concatenate(ends)
+    flips = len(b)
+    while len(b):  # flip every path at once, one edge pair per step
+        a = np.stack(np.unravel_index(parent[tuple(b.T)], shape), axis=1)
+        k = np.ravel_multi_index(tuple((b - a + m_cap).T), box)
+        k_old = a_match[tuple(a.T)]
+        a_match[tuple(a.T)] = k
+        b_match[tuple(b.T)] = k
+        more = k_old >= 0  # a root ends its path
+        b = a[more] + offsets[k_old[more]]
+    return flips
+
+
 def _tiles(shape, s: int):
     """Slices of the corner-aligned s-cube tiling of an array, row-major."""
     counts = [max(1, -(-n // s)) for n in shape]
@@ -415,12 +487,18 @@ def aligned_cube_ids(shape, s: int) -> np.ndarray:
     return ids
 
 
+def _ladder_base(m_cap: int) -> int:
+    """Smallest cube side of the ladder: ``LADDER_BASE``, or past 2M."""
+    return 1 << max(LADDER_BASE - 1, 2 * m_cap).bit_length()
+
+
 def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
     """Fill empty match grids with a maximum matching, built bottom-up.
 
-    Greedy matching confined to base-size cubes, then augmentation over
-    doubling cube tilings: imbalances cancel at the smallest scale where they
-    meet, so only the array-wide surplus needs long paths.
+    Greedy matching confined to base-size cubes, then ``hierarchy_augment``
+    over doubling cube tilings from the same base: imbalances cancel at the
+    smallest scale where they meet, so only the array-wide surplus needs
+    long paths.
 
     The greedy pass takes offsets nearest-first: a cell paired with its
     nearest free partner rarely blocks another, whereas the canonical
@@ -429,23 +507,30 @@ def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
     results is free, since every caller reads only a feasibility verdict;
     the canonical greedy of the square pipeline stays row-major.
     """
-    base = 1 << max(LADDER_BASE - 1, 2 * m_cap).bit_length()
-    region = aligned_cube_ids(a_bits.shape, base)
+    region = aligned_cube_ids(a_bits.shape, _ladder_base(m_cap))
     order = _offsets_nearest_first(m_cap, a_bits.ndim)
     greedy_offset_pass(a_bits, b_bits, a_match, b_match, m_cap, region_id=region, order=order)
-    return hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, base=base)
+    return hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap)
 
 
-def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, base: int | None = None):
+def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap):
     """Drive a matching to maximum by augmenting inside doubling cube tilings.
 
-    Local imbalances cancel at small scales through short paths, so the final
-    whole-array sweep (which certifies maximality) has few augmenting paths
-    left to find. Far cheaper than whole-array phases on large windows, with
-    the same end state guarantee: no augmenting path remains.
+    Starts at the ladder's base and doubles the cube side up to the whole
+    array. Inside each cube, ``_forest_sweep`` runs until a sweep flips
+    nothing, so each cube ends maximum and the final whole-array cube
+    certifies maximality: no augmenting path remains. Local imbalances cancel
+    at small scales through short paths, and each sweep flips up to one path
+    per free A-cell, whatever the lengths, where a shortest-path phase would
+    flip only the shortest. Which maximum matching results is not canonical,
+    so only the Baire side, whose callers read a feasibility verdict, calls
+    this.
     """
     sides = a_bits.shape
-    s = base if base is not None else 1 << max(4, 2 * m_cap - 1).bit_length()
+    s = _ladder_base(m_cap)
+    # one label scratch for every tile and sweep: two tile-sized grids per
+    # sweep left the heap fragmented enough to raise a later peak RSS
+    scratch = np.empty(2 * a_bits.size, dtype=np.int32)
     total = 0
     while True:
         ua = a_bits & (a_match < 0)
@@ -456,9 +541,12 @@ def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, base: int | None 
         for sl in _tiles(sides, s):
             if not (ua[sl].any() and ub[sl].any()):
                 continue
-            total += augment_to_max(
-                a_bits[sl], b_bits[sl], a_match[sl], b_match[sl], m_cap
-            )
+            tile = a_bits[sl].shape
+            labels = scratch[: 2 * int(np.prod(tile))].reshape((2,) + tile)
+            while flips := _forest_sweep(
+                a_bits[sl], b_bits[sl], a_match[sl], b_match[sl], m_cap, labels
+            ):
+                total += flips
         if full:
             return total
         s <<= 1

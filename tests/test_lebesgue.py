@@ -170,13 +170,14 @@ def test_square_run_golden_hash(ladder):
 
 @pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
 def test_square_pipeline_never_runs_the_ladder(monkeypatch, ladder):
-    # ladder_max_matching (nearest-first greedy) and hierarchy_augment may
-    # pick any maximum matching only because no square run reaches them
+    # ladder_max_matching (nearest-first greedy), hierarchy_augment and its
+    # _forest_sweep may pick any maximum matching only because no square run
+    # reaches them
     def forbidden(*args, **kwargs):
         raise AssertionError("the square pipeline called a Baire-only matcher")
 
     for mod in (matching, lebesgue):
-        for name in ("ladder_max_matching", "hierarchy_augment"):
+        for name in ("ladder_max_matching", "hierarchy_augment", "_forest_sweep"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
     win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 256})
     run_pipeline(win, build_schedule(win, ladder, 1), 1)

@@ -8,9 +8,11 @@ from eqdec.matching import (
     LADDER_BASE,
     Matching,
     _first_true,
+    _forest_sweep,
     _layered_bfs,
     _offsets_nearest_first,
     augment_phase,
+    augment_to_max,
     bounded_augmenting_path,
     cover_side,
     greedy_offset_pass,
@@ -36,17 +38,17 @@ def scipy_max_matching_size(a_bits, b_bits, m_cap):
     bcells = np.argwhere(b_bits)
     if len(acells) == 0 or len(bcells) == 0:
         return 0
-    bidx = -np.ones(a_bits.shape, dtype=int)
-    for i, c in enumerate(bcells):
-        bidx[tuple(c)] = i
+    bidx = np.full(a_bits.shape, -1)
+    bidx[tuple(bcells.T)] = np.arange(len(bcells))
     rows, cols = [], []
-    for i, c in enumerate(acells):
-        for off in offsets_row_major(m_cap, 2):
-            nb = c + off
-            if (nb >= 0).all() and (nb < np.array(a_bits.shape)).all() and bidx[tuple(nb)] >= 0:
-                rows.append(i)
-                cols.append(bidx[tuple(nb)])
-    if not rows:
+    for off in offsets_row_major(m_cap, a_bits.ndim):
+        nb = acells + off
+        inb = np.flatnonzero((nb >= 0).all(axis=1) & (nb < np.array(a_bits.shape)).all(axis=1))
+        col = bidx[tuple(nb[inb].T)]
+        rows.append(inb[col >= 0])
+        cols.append(col[col >= 0])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if not len(rows):
         return 0
     mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(acells), len(bcells)))
     return int((maximum_bipartite_matching(mat, perm_type="column") >= 0).sum())
@@ -295,7 +297,7 @@ def test_offsets_nearest_first_order():
 
 def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
     rng = np.random.default_rng(29)
-    shape = (37, 45)
+    shape = (137, 261)
     for m_cap in (1, 2, 3):
         # the ladder's base is LADDER_BASE, so at least two scales run
         assert 2 * m_cap < LADDER_BASE < max(shape)
@@ -322,6 +324,56 @@ def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
                 if not ok:  # the witness is a Hall-deficient set of A-cells
                     assert not np.any(witness & ~req)
                     assert int((dilate(witness, m_cap) & b).sum()) < int(witness.sum())
+
+
+def test_forest_sweeps_reach_the_maximum_in_tile_views():
+    # sweeps on a tile view of larger grids, pre-matched in part, with edges
+    # that cross the tile's border: the cells on those edges stay fixed, and
+    # the rest ends as a maximum matching of the tile (augment_to_max and the
+    # scipy oracle), written through the views and nowhere else
+    rng = np.random.default_rng(17)
+    crossed = 0
+    for d, side in ((1, 60), (2, 19), (3, 8)):
+        big = (side + 6,) * d
+        sl = tuple(slice(3, 3 + side) for _ in range(d))
+        for m_cap in (1, 2, 3):
+            for _ in range(3):
+                a_big = rng.random(big) < rng.uniform(0.2, 0.6)
+                b_big = rng.random(big) < rng.uniform(0.2, 0.6)
+                pre = _random_matching(rng, a_big, b_big, m_cap)
+                ref_a, ref_b = pre.a_match.copy(), pre.b_match.copy()
+                augment_to_max(a_big[sl], b_big[sl], ref_a[sl], ref_b[sl], m_cap)
+                am, bm = pre.a_match.copy(), pre.b_match.copy()
+                a, b = a_big[sl], b_big[sl]
+                labels = np.empty((2,) + a.shape, dtype=np.int32)
+                for _ in range(int(a.sum()) + 2):
+                    if _forest_sweep(a, b, am[sl], bm[sl], m_cap, labels) == 0:
+                        break
+                else:
+                    raise AssertionError("sweeps kept reporting flips")
+                Matching(Rect((0,) * d, big), m_cap, am, bm).validate(a_big, b_big)
+                outside = np.ones(big, dtype=bool)
+                outside[sl] = False
+                assert np.array_equal(am[outside], pre.a_match[outside])
+                assert np.array_equal(bm[outside], pre.b_match[outside])
+                # cells matched across the border: A-cells whose partner lies
+                # outside, B-cells whose partner does
+                offs = offsets_row_major(m_cap, d)
+                inner = np.zeros(big, dtype=bool)
+                inner[sl] = True
+                cross_a = inner & (pre.a_match >= 0)
+                cross_a[cross_a] = ~inner[tuple((np.argwhere(cross_a) + offs[pre.a_match[cross_a]]).T)]
+                cross_b = inner & (pre.b_match >= 0)
+                cross_b[cross_b] = ~inner[tuple((np.argwhere(cross_b) - offs[pre.b_match[cross_b]]).T)]
+                assert np.all(am[cross_a] == pre.a_match[cross_a])
+                assert np.all(bm[cross_b] == pre.b_match[cross_b])
+                crossed += int(cross_a.sum() + cross_b.sum())
+                size = int((am[sl] >= 0).sum())
+                assert size == int((ref_a[sl] >= 0).sum())
+                free_a, free_b = (a_big & ~cross_a)[sl], (b_big & ~cross_b)[sl]
+                want = int(cross_a.sum()) + scipy_max_matching_size(free_a, free_b, m_cap)
+                assert size == want
+    assert crossed  # the border case ran
 
 
 def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a=None, used_b=None, log=None):
