@@ -18,8 +18,8 @@ from eqdec.errors import ArgumentError, ExtendabilityError, PrecisionError
 from eqdec.lattice import CellSet, Rect
 from eqdec.matching import (
     Matching,
+    _forest_sweep,
     _tiles,
-    augment_phase,
     cover_side,
     hall_deficiency,
     hierarchy_augment,
@@ -141,7 +141,12 @@ def build_nets(
 
 
 class _Covering:
-    """One-sided coverage state: required left cells matched into right cells."""
+    """One-sided coverage state: required left cells matched into right cells.
+
+    Each question below works on copies of the two match grids and costs at
+    most one single-root forest sweep (full cover) or one ``hierarchy_augment``
+    of the copy (deficient cover).
+    """
 
     def __init__(self, left_req, right_avail, m_cap, warm=None):
         self.left_req = left_req
@@ -151,8 +156,9 @@ class _Covering:
             left_req, right_avail, m_cap, warm=warm
         )
 
-    def feasible_without_right(self, cell, offsets, cap) -> bool:
-        """Feasibility after removing one right-side cell."""
+    def feasible_without_right(self, cell, offsets) -> bool:
+        """Feasibility after removing one right-side cell: with a full cover, one
+        sweep from the freed partner flips a path exactly when one exists."""
         if not self.ok:
             return False  # shrinking availability cannot help
         k = int(self.rmatch[cell])
@@ -164,11 +170,10 @@ class _Covering:
         rm[cell] = -1
         avail = self.right_avail.copy()
         avail[cell] = False
-        start = np.zeros_like(self.left_req)
-        start[left] = True
-        return augment_phase(self.left_req, avail, lm, rm, self.m_cap, cap, start_mask=start) > 0
+        labels = np.empty((2,) + lm.shape, dtype=np.int32)
+        return _forest_sweep(self.left_req, avail, lm, rm, self.m_cap, labels) > 0
 
-    def feasible_without_left(self, cell, offsets, cap) -> bool:
+    def feasible_without_left(self, cell, offsets) -> bool:
         """Feasibility after dropping one cell from the required left set."""
         if self.ok:
             return True  # dropping a requirement only frees capacity
@@ -180,22 +185,19 @@ class _Covering:
             rm[partner] = -1
         req = self.left_req.copy()
         req[cell] = False
-        uncovered = req & (lm < 0)
-        while uncovered.any():
-            if augment_phase(req, self.right_avail, lm, rm, self.m_cap, cap, start_mask=uncovered) == 0:
-                return False
-            uncovered = req & (lm < 0)
-        return True
+        hierarchy_augment(req, self.right_avail, lm, rm, self.m_cap)
+        return not (req & (lm < 0)).any()
 
 
 class _OracleContext:
     """Feasibility state shared across candidate partners of one net cell.
 
-    Each candidate check then costs at most one augmenting-path search per
-    side instead of two full coverage matchings. ``warm_global`` optionally
-    seeds both coverings from a matching of the free cells (the tile-wise
-    one of ``_GlobalCover``); any seed gives the same verdicts, because
-    cover_side's verdict does not depend on it.
+    A candidate check then costs one single-root forest sweep on copies of
+    the net cell's side covering, and nothing on the other side while its
+    covering is full, instead of two full coverage matchings. ``warm_global``
+    optionally seeds both coverings from a matching of the free cells (the
+    tile-wise one of ``_GlobalCover``); any seed gives the same verdicts,
+    because cover_side's verdict does not depend on it.
     """
 
     def __init__(
@@ -208,7 +210,6 @@ class _OracleContext:
         warm_global=None,
     ):
         m_cap = win.sys.m_cap
-        self.m_cap = m_cap
         self.anchor_side = anchor_side
         reach = horizon + m_cap
         low = tuple(int(c) - reach for c in anchor)
@@ -228,7 +229,6 @@ class _OracleContext:
         ball[tuple(slice(reach - horizon, reach + horizon + 1) for _ in range(win.d))] = True
         self.a_in, self.b_in = a_in, b_in
         self.offsets = offsets_row_major(m_cap, win.d)
-        self.cap = 2 * region.volume() + 1
         req_a, req_b = a_in & ball, b_in & ball
         warm_a = warm_b = None
         if warm_global is not None:
@@ -269,16 +269,13 @@ class _OracleContext:
         """Partner is a B-cell for an A anchor and vice versa."""
         p = tuple(int(c) - l for c, l in zip(partner, self.region.low))
         if self.anchor_side == "A":
-            if not self.b_in[p]:
-                return False
-            return self.cover_a.feasible_without_right(
-                p, self.offsets, self.cap
-            ) and self.cover_b.feasible_without_left(p, self.offsets, self.cap)
-        if not self.a_in[p]:
+            own, other, free = self.cover_a, self.cover_b, self.b_in
+        else:
+            own, other, free = self.cover_b, self.cover_a, self.a_in
+        if not free[p]:
             return False
-        return self.cover_b.feasible_without_right(
-            p, self.offsets, self.cap
-        ) and self.cover_a.feasible_without_left(p, self.offsets, self.cap)
+        off = self.offsets
+        return own.feasible_without_right(p, off) and other.feasible_without_left(p, off)
 
 
 class _GlobalCover:

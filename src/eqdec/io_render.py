@@ -147,9 +147,11 @@ def load_run(path):
         pos += 8 * d
         sides = struct.unpack_from(f"<{d}q", data, pos)
         pos += 8 * d
+        window = Rect(low, sides)
     except struct.error as e:
         raise LoadError("file truncated inside header") from e
-    window = Rect(low, sides)
+    except ArgumentError as e:
+        raise LoadError(f"header window malformed: {e}") from e
     rows = int(np.prod(sides[:-1]))
     grid_bytes = rows * ((sides[-1] + 7) // 8)
     piece_bytes = int(np.prod(sides)) * 2

@@ -2,19 +2,21 @@
 
 Edges join A-cells to B-cells at sup-norm distance at most M. Matchings are
 stored as per-cell offset indices (row-major index into the offset box), with
-a consistently maintained inverse map. The canonical maximum matching is the
-offset-greedy pass, offsets in row-major order, followed by
-shortest-augmenting-path phases with row-major tie-breaks; it is a pure
-function of the window content, so translating the content translates the
-matching. ``ladder_max_matching`` and ``hierarchy_augment`` are not canonical
-in that sense: the ladder's greedy pass takes offsets nearest-first, which
-leaves far fewer augmenting paths, and both augment by multi-source BFS
-forest sweeps (``_forest_sweep``), which flip up to one path per free A-cell
-whatever its length, where a shortest-path phase flips only the shortest.
-Their callers (the Baire pipeline's coverage checks) read only a feasibility
-verdict, and the deficient cells behind a negative one, the same for every
-maximum matching; so which maximum matching they reach is free, and the
-square pipeline, whose bytes are the canonical matching, never calls them.
+a consistently maintained inverse map. The engine answers three questions:
+
+- a maximum matching of a region: ``greedy_offset_pass`` (offsets row-major)
+  then ``augment_to_max`` (shortest-path phases, row-major tie-breaks) give
+  the canonical one, a pure function of the window content, so translating
+  the content translates the matching. ``ladder_max_matching`` reaches some
+  maximum matching faster: nearest-first greedy offsets leave fewer
+  augmenting paths, and its forest sweeps (``_forest_sweep``) flip up to one
+  path per free A-cell whatever its length. Only the Baire side calls it,
+  whose checks read a verdict that every maximum matching gives alike;
+- can one side be covered into the other, with a Hall-deficient witness
+  when not: ``cover_side``, which ``hall_deficiency`` runs for both sides;
+- length-capped augmentation: ``augment_phase`` flips vertex-disjoint
+  shortest augmenting paths no longer than its cap; ``_layered_bfs`` alone
+  says whether one exists.
 
 Three kernels carry most of the work. The greedy pass walks a shrinking list
 of free A-cells, as flat indices into grids padded by M, instead of sweeping
@@ -43,7 +45,6 @@ from eqdec.window import CosetWindow
 __all__ = [
     "Matching",
     "HallCertificate",
-    "bounded_augmenting_path",
     "hall_deficiency",
 ]
 
@@ -245,8 +246,8 @@ def _partners_inside(bs, b_match, offsets, shape):
     return As, np.all(As >= 0, axis=1) & np.all(As < shape, axis=1)
 
 
-def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask=None):
-    """Layered alternating BFS from unmatched A-cells.
+def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len):
+    """Layered alternating BFS from every unmatched A-cell.
 
     Returns a ``BfsLayers``. Layers hold edge-distances: even on the A side,
     odd on the B side. Work per layer is confined to the frontier's bounding
@@ -257,8 +258,6 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, star
     and nothing is allocated.
     """
     front_full = a_bits & (a_match < 0)
-    if start_mask is not None:
-        front_full = front_full & start_mask
     if not front_full.any():
         unlabelled = np.broadcast_to(np.int32(-1), a_bits.shape)
         return BfsLayers(unlabelled, unlabelled, None, -1, unlabelled)
@@ -316,7 +315,7 @@ def _unravel(flat: int, shape) -> tuple:
     return tuple(reversed(out))
 
 
-def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a=None, used_b=None):
+def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a, used_b):
     """Reconstruct one shortest path from an unmatched B endpoint.
 
     Row-major smallest predecessor at each step; returns the node list
@@ -331,7 +330,7 @@ def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a=None, used_b
     lev = bfs.depth
     while lev > 0:
         a = _unravel(int(parent[cur]), sides)
-        if used_a is not None and used_a[a]:
+        if used_a[a]:
             lo = tuple(max(0, c - m_cap) for c in cur)
             hi = tuple(min(s, c + m_cap + 1) for c, s in zip(cur, sides))
             patch = tuple(slice(l, h) for l, h in zip(lo, hi))
@@ -345,7 +344,7 @@ def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a=None, used_b
             break
         k = a_match[a]
         b = tuple(int(c + o) for c, o in zip(a, offsets[k]))
-        if used_b is not None and used_b[b]:
+        if used_b[b]:
             return None
         nodes.append(b)
         cur = b
@@ -367,16 +366,16 @@ def _apply_flip(nodes, a_match, b_match, offsets, m_cap):
         b_match[b] = k
 
 
-def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, start_mask=None):
+def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len):
     """One BFS plus a peel of vertex-disjoint shortest augmenting paths.
 
     Returns the number of paths flipped (0 when no path of length <= cap_len
-    exists from the chosen start cells).
+    exists).
     """
     if not (b_bits & (b_match < 0)).any():
         return 0  # no endpoint can exist, and the BFS writes no match grid
     offsets = offsets_row_major(m_cap, a_bits.ndim)
-    bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, start_mask)
+    bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len)
     if bfs.ends is None:
         return 0
     used_a = np.zeros_like(a_bits)
@@ -561,25 +560,6 @@ def _local_bits(win: CosetWindow, R: Rect):
     return win.a_bits.bits[sl], win.b_bits.bits[sl]
 
 
-def bounded_augmenting_path(win: CosetWindow, R: Rect, m: Matching, max_len: int):
-    """Shortest augmenting path of length <= max_len inside R, or None.
-
-    Deterministic: the row-major first endpoint and predecessors are taken.
-    Nodes are returned in path order (unmatched A-cell first), in coordinates
-    relative to R.
-    """
-    if m.rect != R:
-        raise ArgumentError("matching must be defined on R")
-    m_cap = win.sys.m_cap
-    a_bits, b_bits = _local_bits(win, R)
-    offsets = m.offsets
-    bfs = _layered_bfs(a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap, max_len)
-    if bfs.ends is None:
-        return None
-    nodes = _walk_back(_first_true(bfs.ends), bfs, m.a_match, offsets, m_cap)
-    return list(reversed(nodes))
-
-
 @dataclass(frozen=True)
 class HallCertificate:
     """A deficient set: |neighborhood| < |cells| on the stated side."""
@@ -605,12 +585,10 @@ def cover_side(a_in, b_in, m_cap, warm=None):
     else:
         a_match, b_match = warm
         hierarchy_augment(a_in, b_in, a_match, b_match, m_cap)
-    unmatched = a_in & (a_match < 0)
-    if not unmatched.any():
+    if not (a_in & (a_match < 0)).any():
         return True, a_match, b_match, None
-    big = 2 * a_in.size + 1
     offsets = offsets_row_major(m_cap, a_in.ndim)
-    bfs = _layered_bfs(a_in, b_in, a_match, b_match, offsets, m_cap, big, start_mask=unmatched)
+    bfs = _layered_bfs(a_in, b_in, a_match, b_match, offsets, m_cap, 2 * a_in.size + 1)
     # no augmenting path exists, so reached cells form a deficient witness
     return False, a_match, b_match, bfs.layer_a >= 0
 

@@ -12,10 +12,10 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, internal_boundary, isoperimetry_check, perimeter
 from eqdec.matching import (
     Matching,
-    _apply_flip,
+    _layered_bfs,
     _local_bits,
+    augment_phase,
     augment_to_max,
-    bounded_augmenting_path,
     greedy_offset_pass,
     hall_deficiency,
 )
@@ -153,51 +153,33 @@ def _canonical_max_matching(win: CosetWindow, R: Rect) -> Matching:
     return m
 
 
-def _flip(m: Matching, path) -> Matching:
-    """Flip an augmenting path (as returned by bounded_augmenting_path)."""
-    if not path or len(path) % 2 != 0:
-        raise ArgumentError("augmenting path must alternate A,B,...,B")
-    first, last = path[0], path[-1]
-    if m.a_match[tuple(first)] >= 0 or m.b_match[tuple(last)] >= 0:
-        raise ArgumentError("path endpoints must be unmatched")
-    for prev, cur in zip(path, path[1:]):
-        if max(abs(int(p) - int(c)) for p, c in zip(prev, cur)) > m.m_cap:
-            raise ArgumentError("consecutive path cells are not graph neighbours")
-    for i in range(1, len(path) - 1, 2):
-        b, a = path[i], path[i + 1]
-        k = m.a_match[tuple(a)]
-        if k < 0 or m.b_match[tuple(b)] != k:
-            raise ArgumentError("interior path edges must alternate with matched edges")
-        off = m.offsets[k]
-        if tuple(aa + oo for aa, oo in zip(a, off)) != tuple(b):
-            raise ArgumentError("interior pair is not a matched edge")
-    out = m.copy()
-    _apply_flip(list(reversed(path)), out.a_match, out.b_match, out.offsets, m.m_cap)
-    out.validate()
-    return out
-
-
 def suite_short_augmenting(seed: int, trials: int = 1000):
-    """Bounded path search against an uncapped BFS oracle."""
+    """Length-capped search and augmentation against an uncapped BFS oracle:
+    per cap, the BFS depth is the oracle's length if within the cap, else -1,
+    and the phase flips exactly then, growing a valid matching by its flips."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
     m_cap = 2
     offsets = offsets_row_major(m_cap, 2)
     bad = 0
     for _ in range(trials):
-        R = Rect((0, 0), (10, 10))
-        a_bits = rng.random(R.sides) < 0.3
-        b_bits = rng.random(R.sides) < 0.3
+        shape = (10, 10)
+        a_bits = rng.random(shape) < 0.3
+        b_bits = rng.random(shape) < 0.3
         m = _random_matching(rng, a_bits, b_bits, m_cap)
-        win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
         oracle = _bfs_oracle(a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap)
+        agree = True
         for cap in (1, 3, 7, 10):
-            path = bounded_augmenting_path(win, R, m, cap)
-            if oracle is not None and oracle <= cap:
-                if path is None or len(path) - 1 != oracle:
-                    bad += 1
-            else:
-                if path is not None:
-                    bad += 1
+            want = oracle if oracle is not None and oracle <= cap else -1
+            bfs = _layered_bfs(a_bits, b_bits, m.a_match, m.b_match, offsets, m_cap, cap)
+            grown = m.copy()
+            flips = augment_phase(a_bits, b_bits, grown.a_match, grown.b_match, m_cap, cap)
+            try:
+                grown.validate(a_bits, b_bits)
+            except ArgumentError:
+                agree = False
+            agree &= bfs.depth == want and (flips > 0) == (want > 0)
+            agree &= grown.size() == m.size() + flips
+        bad += not agree
     return bad == 0, {"disagreements": bad}
 
 

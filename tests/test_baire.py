@@ -5,7 +5,9 @@ import pytest
 
 from eqdec.baire import (
     WARM_TILE,
+    _Covering,
     _GlobalCover,
+    _OracleContext,
     build_nets,
     extendable_oracle,
     greedy_step,
@@ -18,6 +20,7 @@ from eqdec.matching import Matching, _tiles, augment_to_max
 from eqdec.suites import _bits_window
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, offsets_row_major, sample_free_system
 from eqdec.window import build_sparse_coloring, extract_window
+from test_matching import scipy_max_matching_size
 
 
 def _shapes(area=0.15):
@@ -208,7 +211,12 @@ def test_greedy_step_empty_net_is_noop():
 
 def test_run_baire_small_end_to_end():
     win = _window(384)
+    a, b = win.a_bits, win.b_bits
+    bits = a.bits.copy(), b.bits.copy()
     res = run_baire(win, (8, 24), seed=11, net_cap=6)
+    # the window is input only
+    assert win.a_bits is a and win.b_bits is b
+    assert np.array_equal(a.bits, bits[0]) and np.array_equal(b.bits, bits[1])
     assert all(r.added == r.net_size for r in res.reports)
     assert all(r.sparsity_ok for r in res.reports)
     assert all(r.hall_ok for r in res.reports)
@@ -259,9 +267,87 @@ def test_greedy_levels_do_not_depend_on_the_warm_start():
     cover = _GlobalCover(win)
     for level, horizon in enumerate(horizons, start=1):
         warm = cover.refresh(m)
+        prev = m.a_match.copy(), m.b_match.copy()
         cold, cold_rep = greedy_step(m, level, ladder, coloring, horizon, win)
+        m_prev = m
         m, rep = greedy_step(m, level, ladder, coloring, horizon, win, warm_global=warm)
+        # greedy_step leaves the matching it extends unchanged
+        assert np.array_equal(m_prev.a_match, prev[0])
+        assert np.array_equal(m_prev.b_match, prev[1])
         assert rep.added > 0
         assert rep == cold_rep
         assert np.array_equal(m.a_match, cold.a_match)
         assert np.array_equal(m.b_match, cold.b_match)
+
+
+@pytest.mark.parametrize("m_cap", [1, 2, 3])
+def test_covering_answers_equal_the_max_flow_oracle(m_cap):
+    # random regions of a few hundred cells, each with three required sets:
+    # a random one (often deficient), the cells a maximum matching of it
+    # covers (full, with no slack), and those plus one more (deficient by
+    # exactly one); every answer is checked against scipy
+    rng = np.random.default_rng(40 + m_cap)
+    offsets = offsets_row_major(m_cap, 2)
+    seen = set()
+    for _ in range(8):
+        shape = tuple(int(s) for s in rng.integers(14, 21, size=2))
+        dens = rng.uniform(0.1, 0.4)
+        left = rng.random(shape) < dens
+        right = rng.random(shape) < dens * rng.uniform(0.5, 1.1)
+        req = left & (rng.random(shape) < rng.uniform(0.7, 1.0))
+        tight = req & (_Covering(req, right, m_cap).lmatch >= 0)
+        one_short = tight.copy()
+        one_short[tuple(np.argwhere(req & ~tight)[:1].T)] = True
+        for req in (req, tight, one_short):
+            cov = _Covering(req, right, m_cap)
+            before = cov.lmatch.copy(), cov.rmatch.copy()
+            n = int(req.sum())
+            assert cov.ok == (scipy_max_matching_size(req, right, m_cap) == n)
+            matched = rng.permutation(np.argwhere(cov.rmatch >= 0))[:4]
+            for cell in np.concatenate([rng.permutation(np.argwhere(right))[:4], matched]):
+                cell = tuple(cell)
+                avail = right.copy()
+                avail[cell] = False
+                want = scipy_max_matching_size(req, avail, m_cap) == n
+                assert cov.feasible_without_right(cell, offsets) == want
+                seen.add(("right", cov.ok, want))
+            for cell in rng.permutation(np.argwhere(left))[:8]:
+                cell = tuple(cell)
+                rest = req.copy()
+                rest[cell] = False
+                want = scipy_max_matching_size(rest, right, m_cap) == int(rest.sum())
+                assert cov.feasible_without_left(cell, offsets) == want
+                seen.add(("left", cov.ok, want))
+            assert np.array_equal(cov.lmatch, before[0])
+            assert np.array_equal(cov.rmatch, before[1])
+    # full covers that a removed right cell keeps or breaks, and deficient
+    # ones that dropping a required cell mends or does not
+    assert {("right", True, True), ("right", True, False), ("right", False, False)} <= seen
+    assert {("left", True, True), ("left", False, True), ("left", False, False)} <= seen
+
+
+def test_oracle_checks_leave_their_context_unchanged():
+    rng = np.random.default_rng(8)
+    m_cap, horizon = 1, 3
+    side = 2 * (horizon + m_cap) + 1
+    centre = (side // 2, side // 2)
+    outcomes = set()
+    for _ in range(200):
+        a = rng.random((side, side)) < rng.uniform(0.2, 0.6)
+        b = rng.random((side, side)) < rng.uniform(0.2, 0.6)
+        a[centre] = True
+        R = Rect((0, 0), a.shape)
+        win = _bits_window(CellSet(R, a), CellSet(R, b), m_cap)
+        ctx = _OracleContext(Matching(R, m_cap), win, centre, "A", horizon)
+        covers = (ctx.cover_a, ctx.cover_b)
+        before = [g.copy() for c in covers for g in (c.lmatch, c.rmatch)]
+        before += [ctx.a_in.copy(), ctx.b_in.copy()]
+        for off in offsets_row_major(m_cap, 2):
+            partner = tuple(int(c + o) for c, o in zip(centre, off))
+            outcomes.add((ctx.cover_a.ok, ctx.cover_b.ok, ctx.check(partner)))
+        after = [g for c in covers for g in (c.lmatch, c.rmatch)] + [ctx.a_in, ctx.b_in]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    # accepted and rejected checks, also with the other side's cover deficient
+    assert {(True, True, True), (True, True, False), (True, False, False)} <= outcomes
+    assert (True, False, True) in outcomes
+

@@ -83,25 +83,44 @@ def _manifest_m7(doc):
     return doc
 
 
+# header fields: d, k, M, flags as uint32 after the 8-byte magic, then the
+# window's low and sides as int64 per axis (d = 2 here)
+M_AT, D_AT, SIDE0_AT = 16, 8, 24 + 2 * 8
+
+
 @pytest.mark.parametrize(
-    "header_m, edit, match",
+    "header, edit, match",
     [
         (None, lambda doc: {**doc, "config": {}}, "system config malformed"),
         (None, lambda doc: [doc], "not an object"),
-        (7, None, "disagrees with the manifest"),
+        ((M_AT, "<I", 7), None, "disagrees with the manifest"),
         # header and manifest agree on M=7; the pieces still use M=8's offsets
-        (7, _manifest_m7, "piece index outside"),
+        ((M_AT, "<I", 7), _manifest_m7, "piece index outside"),
+        ((D_AT, "<I", 0), None, "header window malformed"),
+        ((D_AT, "<I", 1), None, "header window malformed"),
+        ((SIDE0_AT, "<q", 0), None, "header window malformed"),
+        ((SIDE0_AT, "<q", -64), None, "header window malformed"),
     ],
-    ids=["no-system", "manifest-not-object", "header-m7", "header-and-manifest-m7"],
+    ids=[
+        "no-system",
+        "manifest-not-object",
+        "header-m7",
+        "header-and-manifest-m7",
+        "header-d0",
+        "header-d1",
+        "header-side0",
+        "header-side-64",
+    ],
 )
-def test_malformed_header_or_manifest_rejected(tmp_path, header_m, edit, match):
+def test_malformed_header_or_manifest_rejected(tmp_path, header, edit, match):
     win, m = small_run()
     assert (m.a_match >= 15**2).any()  # some piece index needs M=8
     path = tmp_path / "run.eqdc"
     save_run(path, win, m)
     raw = path.read_bytes()
-    if header_m is not None:
-        raw = raw[:16] + struct.pack("<I", header_m) + raw[20:]  # M follows magic, d, k
+    if header is not None:
+        at, fmt, value = header
+        raw = raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt) :]
     pos = raw.rindex(b'{"config":')  # the manifest runs to end of file
     manifest = json.loads(raw[pos:])
     if edit is not None:

@@ -244,13 +244,13 @@ def test_rematch_and_refine_reach_per_cube_maximum():
     assert len(dirty) and len(clean_ids)
     _refine_all(m3, dom1, dom0, win, clean_ids)
     m3.validate(win.a_bits.bits, win.b_bits.bits)
-    from eqdec.matching import bounded_augmenting_path, Matching
-
     for ci in range(len(dom1.cube_lows)):
         rect = dom1.cube_rect(ci)
         sl = rect.slices_in(win.window)
-        local = Matching(rect, win.sys.m_cap, m3.a_match[sl].copy(), m3.b_match[sl].copy())
-        assert bounded_augmenting_path(win, rect, local, max(rect.sides)) is None
+        a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
+        am, bm = m3.a_match[sl], m3.b_match[sl]
+        bfs = matching._layered_bfs(a_bits, b_bits, am, bm, m3.offsets, m3.m_cap, max(rect.sides))
+        assert bfs.ends is None
 
 
 def test_refine_single_flip_instance():
@@ -319,10 +319,15 @@ def test_run_pipeline_levels_zero_bound():
 
 def test_run_pipeline_decreasing_unmatched_small():
     win = _window(448)
+    a, b = win.a_bits, win.b_bits
+    bits = a.bits.copy(), b.bits.copy()
     sched = build_schedule(win, (4, 16, 64), levels=2)
     res = run_pipeline(win, sched, 2, check_invariants=True)
     fr = [r.unmatched_fraction for r in res.reports]
     assert fr[0] > fr[1] > fr[2]
+    # the window is input only
+    assert win.a_bits is a and win.b_bits is b
+    assert np.array_equal(a.bits, bits[0]) and np.array_equal(b.bits, bits[1])
 
 
 def test_build_schedule_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, dilate
-from eqdec import matching
+from eqdec import matching, suites
 from eqdec.matching import (
     LADDER_BASE,
     Matching,
@@ -13,19 +13,17 @@ from eqdec.matching import (
     _offsets_nearest_first,
     augment_phase,
     augment_to_max,
-    bounded_augmenting_path,
     cover_side,
     greedy_offset_pass,
     hall_deficiency,
     ladder_max_matching,
 )
 from eqdec.suites import (
-    _bfs_oracle,
     _bits_window,
     _canonical_max_matching,
     _enumerate_feasible,
-    _flip,
     _random_matching,
+    suite_short_augmenting,
 )
 from eqdec.torus import offsets_row_major
 
@@ -98,65 +96,39 @@ def test_canonical_matching_translation_covariant():
     assert np.array_equal(m1.b_match, m2.b_match)
 
 
-def test_bounded_augmenting_path_trivial():
-    R = Rect((0, 0), (3, 3))
+def test_capped_bfs_trivial():
     a = np.zeros((3, 3), dtype=bool)
     b = np.zeros((3, 3), dtype=bool)
     a[0, 0] = True
     b[0, 1] = True
-    win = _bits_window(CellSet(R, a), CellSet(R, b), 1)
-    m = Matching(R, 1)
-    path = bounded_augmenting_path(win, R, m, 3)
-    assert path == [(0, 0), (0, 1)]
+    am = np.full((3, 3), -1, dtype=np.int32)
+    bm = am.copy()
+    offsets = offsets_row_major(1, 2)
+    bfs = _layered_bfs(a, b, am, bm, offsets, 1, 3)
+    assert bfs.depth == 1 and np.argwhere(bfs.ends).tolist() == [[0, 1]]
+    assert _layered_bfs(a, b, am, bm, offsets, 1, 0).ends is None  # cap below the path
     # fully matched: no path
-    m.a_match[0, 0] = 1 * 3 + 2  # offset (0, 1) in the 3x3 offset box
-    m.b_match[0, 1] = m.a_match[0, 0]
-    assert bounded_augmenting_path(win, R, m, 3) is None
+    am[0, 0] = bm[0, 1] = 1 * 3 + 2  # offset (0, 1) in the 3x3 offset box
+    bfs = _layered_bfs(a, b, am, bm, offsets, 1, 3)
+    assert bfs.ends is None and bfs.depth == -1
 
 
-def test_bounded_augmenting_path_vs_uncapped_oracle():
-    rng = np.random.default_rng(5)
-    R = Rect((0, 0), (10, 10))
-    offsets = offsets_row_major(2, 2)
-    for _ in range(1000):
-        a = rng.random((10, 10)) < 0.3
-        b = rng.random((10, 10)) < 0.3
-        m = _random_matching(rng, a, b, 2)
-        win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
-        oracle = _bfs_oracle(a, b, m.a_match, m.b_match, offsets, 2)
-        for cap in (1, 3, 5, 10):
-            path = bounded_augmenting_path(win, R, m, cap)
-            if oracle is not None and oracle <= cap:
-                assert path is not None and len(path) - 1 == oracle
-            else:
-                assert path is None
+def test_short_augmenting_suite_vs_uncapped_oracle():
+    ok, details = suite_short_augmenting(5, trials=300)
+    assert ok and details == {"disagreements": 0}
 
 
-def test_flip_examples_and_counting():
-    R = Rect((0, 0), (6, 6))
-    rng = np.random.default_rng(3)
-    a = rng.random((6, 6)) < 0.5
-    b = rng.random((6, 6)) < 0.5
-    win = _bits_window(CellSet(R, a), CellSet(R, b), 2)
-    m = Matching(R, 2)
-    sizes = [0]
-    for _ in range(30):
-        path = bounded_augmenting_path(win, R, m, 12)
-        if path is None:
-            break
-        m = _flip(m, path)
-        m.validate(a, b)
-        sizes.append(m.size())
-    assert sizes == list(range(len(sizes)))  # size grows by exactly one per flip
+@pytest.mark.parametrize("name", ["_layered_bfs", "augment_phase"])
+def test_short_augmenting_suite_catches_a_lowered_cap(monkeypatch, name):
+    # the suite must fail when either capped routine searches one step short
+    real = getattr(suites, name)
 
+    def lowered(*args):
+        return real(*args[:-1], args[-1] - 1)
 
-def test_flip_rejects_bad_paths():
-    R = Rect((0, 0), (4, 4))
-    m = Matching(R, 1)
-    with pytest.raises(ArgumentError):
-        _flip(m, [(0, 0)])
-    with pytest.raises(ArgumentError):
-        _flip(m, [(0, 0), (3, 3)])  # not an alternating structure on matched cells
+    monkeypatch.setattr(suites, name, lowered)
+    ok, details = suite_short_augmenting(5, trials=200)
+    assert not ok and details["disagreements"] > 100
 
 
 def test_hall_deficiency_examples():
@@ -376,7 +348,7 @@ def test_forest_sweeps_reach_the_maximum_in_tile_views():
     assert crossed  # the border case ran
 
 
-def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a=None, used_b=None, log=None):
+def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a, used_b, log):
     """The walk-back without parent pointers: search each (2M+1)^d patch.
 
     ``log`` counts the steps where ``used_a`` holds the first candidate.
@@ -392,10 +364,9 @@ def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a=None, used_b
         patch = tuple(slice(l, h) for l, h in zip(lo, hi))
         cand = layer_a[patch] == lev - 1
         first = _first_true(cand)
-        if used_a is not None:
-            cand &= ~used_a[patch]
+        cand &= ~used_a[patch]
         pos = _first_true(cand)
-        if log is not None and pos != first:
+        if pos != first:
             log.append(1)
         if pos is None:
             return None
@@ -405,7 +376,7 @@ def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a=None, used_b
         if lev == 0:
             break
         b = tuple(int(c + o) for c, o in zip(a, offsets[a_match[a]]))
-        if used_b is not None and used_b[b]:
+        if used_b[b]:
             return None
         nodes.append(b)
         cur = b
@@ -421,9 +392,8 @@ def test_bfs_parent_is_first_patch_cell_of_previous_layer():
             a = rng.random((side,) * d) < 0.4
             b = rng.random((side,) * d) < 0.4
             m = _random_matching(rng, a, b, m_cap)
-            start = rng.random(a.shape) < 0.5 if rng.random() < 0.3 else None
             for cap in (1, 3, 99):
-                bfs = _layered_bfs(a, b, m.a_match, m.b_match, offsets, m_cap, cap, start)
+                bfs = _layered_bfs(a, b, m.a_match, m.b_match, offsets, m_cap, cap)
                 for cell in np.argwhere(bfs.layer_b >= 0):
                     cell = tuple(cell)
                     lev = bfs.layer_b[cell]
