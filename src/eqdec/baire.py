@@ -335,7 +335,8 @@ def extendable_oracle(m: Matching, win: CosetWindow, x, y, horizon: int) -> bool
     and B-cell within ``horizon`` of x; partners may live up to M further out.
     Monotone in the horizon: success at j implies success at any j' <= j.
     The ball is centred on x, so x must be at least horizon + M from the
-    window edge.
+    window edge. ``eqdec lemma-tests --suite extendable`` checks it against
+    exhaustive matching enumeration on horizon-2 balls.
     """
     x = tuple(int(c) for c in x)
     a_cell, b_cell = _orient(win, x, y)

@@ -46,7 +46,38 @@ def sub_seed(seed: int, label: str) -> int:
     )
 
 
+_INT_KEYS = (
+    "seed", "window", "k", "d", "m_cap", "levels", "horizon_factor", "i_max",
+    "candidate_cap", "net_cap", "samples", "threads",
+)
+# JSON type of every config key a command reads; (t,) is a list of t
+_CONFIG_TYPES = {
+    **dict.fromkeys(_INT_KEYS, int),
+    **dict.fromkeys(("ladder", "radii"), (int,)),
+    **dict.fromkeys(("eps_ladder", "base"), (float,)),
+    **dict.fromkeys(("shape_a", "shape_b"), dict),
+    **{"area": float, "check_invariants": bool, "out": str},
+}
+_TYPE_NAMES = {int: "integer", float: "number", dict: "object", bool: "boolean", str: "string"}
+
+
+def _has_type(value, want) -> bool:
+    """float admits ints; int and float refuse bools."""
+    if isinstance(want, tuple):
+        return isinstance(value, list) and all(_has_type(v, want[0]) for v in value)
+    if isinstance(value, bool) and want is not bool:
+        return False
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def int_list(text: str) -> list:
+    """argparse type of the comma-separated integer flags, e.g. --ladder 8,32,128."""
+    return [int(x) for x in text.split(",")]
+
+
 def load_config(args) -> dict:
+    """The config file merged with the command-line flags, with every key a
+    command reads checked for its JSON type (ArgumentError otherwise)."""
     cfg = {}
     if args.config:
         try:
@@ -55,21 +86,23 @@ def load_config(args) -> dict:
             raise ArgumentError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(cfg, dict):
             raise ArgumentError("config must be a JSON object")
-    for key in ("seed", "window", "mcap", "levels", "horizon", "scale", "threads", "i_max"):
+    for key in (
+        "seed", "window", "mcap", "levels", "horizon", "threads", "i_max", "ladder", "radii", "out"
+    ):
         v = getattr(args, key, None)
         if v is not None:
             cfg[{"mcap": "m_cap", "horizon": "horizon_factor"}.get(key, key)] = v
-    if getattr(args, "ladder", None):
-        cfg["ladder"] = [int(x) for x in args.ladder.split(",")]
-    if getattr(args, "radii", None):
-        cfg["radii"] = [int(x) for x in args.radii.split(",")]
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
     cfg.setdefault("seed", 7)
     cfg.setdefault("k", 2)
     cfg.setdefault("d", 2)
     cfg.setdefault("m_cap", 8)
     cfg.setdefault("out", "runs")
+    for key, value in cfg.items():
+        want = _CONFIG_TYPES.get(key)
+        if want is None or _has_type(value, want):
+            continue
+        name = f"list of {_TYPE_NAMES[want[0]]}" if isinstance(want, tuple) else _TYPE_NAMES[want]
+        raise ArgumentError(f"config key {key!r} must be a JSON {name}, got {value!r}")
     return cfg
 
 
@@ -240,7 +273,7 @@ def cmd_verify(args) -> int:
         sys_cfg = manifest["config"]
         if "shape_a" in sys_cfg:
             shape_a = shape_from_json(sys_cfg["shape_a"])
-            shape_b = shape_from_json(sys_cfg["shape_b"])
+            shape_b = shape_from_json(sys_cfg.get("shape_b"))
             fresh = extract_window(shape_a, shape_b, win.sys, win.base, win.window)
             if not (
                 np.array_equal(fresh.a_bits.bits, win.a_bits.bits)
@@ -305,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("square", help="multiscale matching pipeline")
     common(sp)
-    sp.add_argument("--ladder", help="comma-separated cube sizes, e.g. 8,32,128")
+    sp.add_argument("--ladder", type=int_list, help="comma-separated cube sizes, e.g. 8,32,128")
     sp.add_argument("--levels", type=int, help="levels to execute")
     sp.set_defaults(func=cmd_square)
 
     sp = sub.add_parser("baire", help="greedy sparse-net pipeline")
     common(sp)
-    sp.add_argument("--radii", help="comma-separated net radii, e.g. 32,96,288")
+    sp.add_argument("--radii", type=int_list, help="comma-separated net radii, e.g. 32,96,288")
     sp.add_argument("--horizon", type=int, help="horizon = factor * radius (default 2)")
     sp.set_defaults(func=cmd_baire)
 

@@ -104,7 +104,6 @@ class PipelineResult:
     margin_formula: int
     margin_core: int
     schedule: GridSchedule
-    aborted: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -275,63 +274,33 @@ def _cube_slices(dom: GridDomain, ci: int, win_rect: Rect):
     return dom.cube_rect(ci).slices_in(win_rect)
 
 
-def _parity_split(region: np.ndarray, lows: np.ndarray):
-    """Split a region-id grid by the parity of each region's absolute corner.
-
-    Used by the deliberately non-equivariant mutant pipelines: regions whose
-    corner-coordinate sum is odd get the reversed greedy offset order.
-    """
-    odd = (lows.sum(axis=1) % 2).astype(bool)
-    even_ids = region.copy()
-    odd_ids = region.copy()
-    valid = region >= 0
-    is_odd = np.zeros_like(valid)
-    is_odd[valid] = odd[region[valid]]
-    even_ids[valid & is_odd] = -1
-    odd_ids[valid & ~is_odd] = -1
-    return even_ids, odd_ids
-
-
-def _region_greedy(win, m, region, lows=None, mutant=False):
-    a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
-    if not mutant:
-        greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=region)
-    else:
-        even_ids, odd_ids = _parity_split(region, lows)
-        greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=even_ids)
-        backward = range(len(m.offsets) - 1, -1, -1)
-        greedy_offset_pass(
-            a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=odd_ids, order=backward
-        )
-
-
-def _match_regions(win: CosetWindow, m: Matching, region, lows, slices_of, mutant=False):
+def _match_regions(win: CosetWindow, m: Matching, region, n_regions: int, slices_of):
     """Canonical maximum matching inside every region of a region-id grid.
 
-    ``region`` holds each cell's region id (-1 outside every region), ``lows``
-    the regions' absolute corners and ``slices_of(rid)`` a region's window
-    slices. One batched greedy pass, then augmentation to maximum in each
-    region that still has a free A-cell and a free B-cell. Regions are
-    disjoint, so the order of augmentation does not change the result.
+    ``region`` holds each cell's region id in ``range(n_regions)`` (-1 outside
+    every region) and ``slices_of(rid)`` a region's window slices. One batched
+    greedy pass, then augmentation to maximum in each region that still has a
+    free A-cell and a free B-cell. Regions are disjoint, so the order of
+    augmentation does not change the result.
     """
-    _region_greedy(win, m, region, lows, mutant)
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
+    greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=region)
     ids = region.ravel()
     valid = ids >= 0
     free_a = a_bits.ravel() & (m.a_match.ravel() < 0) & valid
     free_b = b_bits.ravel() & (m.b_match.ravel() < 0) & valid
-    ua = np.bincount(ids[free_a], minlength=len(lows))
-    ub = np.bincount(ids[free_b], minlength=len(lows))
+    ua = np.bincount(ids[free_a], minlength=n_regions)
+    ub = np.bincount(ids[free_b], minlength=n_regions)
     for rid in np.flatnonzero((ua > 0) & (ub > 0)):
         sl = slices_of(int(rid))
         augment_to_max(a_bits[sl], b_bits[sl], m.a_match[sl], m.b_match[sl], m.m_cap)
 
 
-def init_m0(win: CosetWindow, dom: GridDomain, mutant: bool = False) -> Matching:
+def init_m0(win: CosetWindow, dom: GridDomain) -> Matching:
     """Canonical maximum matching inside every level-0 cube."""
     m = Matching(win.window, win.sys.m_cap)
     _match_regions(
-        win, m, dom.cube_id, dom.cube_lows, lambda ci: _cube_slices(dom, ci, win.window), mutant
+        win, m, dom.cube_id, len(dom.cube_lows), lambda ci: _cube_slices(dom, ci, win.window)
     )
     return m
 
@@ -367,9 +336,7 @@ def _dirty_cubes(dom: GridDomain, prev: GridDomain) -> np.ndarray:
     return np.flatnonzero((c_uncov > 0) | (omin != omax))
 
 
-def rematch_dirty_cubes(
-    m2: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow, mutant: bool = False
-):
+def rematch_dirty_cubes(m2: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow):
     """Rebuild the matching from scratch inside every dirty cube."""
     out = m2.copy()
     dirty = _dirty_cubes(dom, prev)
@@ -385,7 +352,7 @@ def rematch_dirty_cubes(
     valid = dom.cube_id >= 0
     region[valid] = np.where(lookup[dom.cube_id[valid]], dom.cube_id[valid], -1)
     _match_regions(
-        win, out, region, dom.cube_lows, lambda ci: _cube_slices(dom, ci, win.window), mutant
+        win, out, region, len(dom.cube_lows), lambda ci: _cube_slices(dom, ci, win.window)
     )
     return out, dirty
 
@@ -420,12 +387,7 @@ def _tree_n_prev(tree) -> int:
 
 
 def _refine_all(
-    m3: Matching,
-    dom: GridDomain,
-    prev: GridDomain,
-    win: CosetWindow,
-    clean_ids,
-    mutant: bool = False,
+    m3: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow, clean_ids
 ) -> None:
     """Align each clean cube's matching with the inherited finer grid, then
     make it maximum by bounded-length augmentation, level by level.
@@ -437,7 +399,6 @@ def _refine_all(
     n_prev = prev.n_cube
     trees = {}
     fresh = []  # window-level slice tuples
-    fresh_lows = []
     for ci in clean_ids:
         cube, tree = _cube_tree(dom, ci, prev, win)
         trees[ci] = (cube, tree)
@@ -446,14 +407,13 @@ def _refine_all(
                 continue
             wsl = node.rect.slices_in(win.window)
             fresh.append(wsl)
-            fresh_lows.append(node.rect.low)
             m3.a_match[wsl] = -1
             m3.b_match[wsl] = -1
     if fresh:
         region = np.full(win.window.sides, -1, dtype=np.int32)
         for rid, wsl in enumerate(fresh):
             region[wsl] = rid
-        _match_regions(win, m3, region, np.array(fresh_lows), fresh.__getitem__, mutant)
+        _match_regions(win, m3, region, len(fresh), fresh.__getitem__)
     for ci in clean_ids:
         cube, tree = trees[ci]
         _refine_augment(m3, win, cube, tree)
@@ -530,7 +490,6 @@ def run_pipeline(
     win: CosetWindow,
     schedule: GridSchedule,
     levels: int,
-    mutant: bool = False,
     check_invariants: bool = False,
 ) -> PipelineResult:
     """Run init plus ``levels`` rounds of prune / rematch / refine.
@@ -553,7 +512,7 @@ def run_pipeline(
     vor = integer_voronoi(schedule.seeds[0], win.window, cover_radius=schedule.seed_radii[0])
     dom = grid_domain(schedule.seeds[0], schedule.ladder[0], vor, win.window, level=0)
     doms.append(dom)
-    m = init_m0(win, dom, mutant=mutant)
+    m = init_m0(win, dom)
     reports.append(_report(win, dom, m, 0, 0, 0, 0, 0, core, total_a_core, volume))
     if check_invariants:
         m.validate(win.a_bits.bits, win.b_bits.bits)
@@ -570,13 +529,13 @@ def run_pipeline(
         m2 = prune_cross_cube(m, dom)
         changed_prune = int((snap != m2.a_match).sum())
 
-        m3, dirty = rematch_dirty_cubes(m2, dom, prev_dom, win, mutant=mutant)
+        m3, dirty = rematch_dirty_cubes(m2, dom, prev_dom, win)
         changed_rematch = int((m2.a_match != m3.a_match).sum())
 
         snap3 = m3.a_match.copy()
         dirty_set = set(dirty.tolist())
         clean_ids = [ci for ci in range(len(dom.cube_lows)) if ci not in dirty_set]
-        _refine_all(m3, dom, prev_dom, win, clean_ids, mutant=mutant)
+        _refine_all(m3, dom, prev_dom, win, clean_ids)
         changed_refine = int((snap3 != m3.a_match).sum())
 
         m = m3

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from eqdec.baire import extendable_oracle
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, internal_boundary, isoperimetry_check, perimeter
+from eqdec.lebesgue import build_schedule, run_pipeline
 from eqdec.matching import (
     Matching,
     _layered_bfs,
@@ -34,7 +36,6 @@ def suite_isoperimetry(seed: int):
     """Perimeter floor, exhaustively on 3x3 and sampled on 4x4x4 windows."""
     violations = 0
     rect = Rect((0, 0), (3, 3))
-    cells = rect.cells()
     for mask in range(1, 1 << 9):
         bits = np.array([(mask >> i) & 1 for i in range(9)], dtype=bool).reshape(3, 3)
         _, _, ok = isoperimetry_check(CellSet(rect, bits))
@@ -183,25 +184,37 @@ def suite_short_augmenting(seed: int, trials: int = 1000):
     return bad == 0, {"disagreements": bad}
 
 
+def _edges(a_bits, b_bits, offsets):
+    """Every (A-cell, B-cell) translation edge inside the grid, row-major."""
+    edges = []
+    for cell in np.argwhere(a_bits):
+        for off in offsets:
+            nb = tuple(int(c + o) for c, o in zip(cell, off))
+            if all(0 <= p < s for p, s in zip(nb, a_bits.shape)) and b_bits[nb]:
+                edges.append((tuple(int(c) for c in cell), nb))
+    return edges
+
+
 def _enumerate_feasible(edges, req_a, req_b):
     """Exhaustive search for a matching covering both required sets."""
     req_a, req_b = set(req_a), set(req_b)
 
-    def rec(i, used_a, used_b, chosen):
-        if i == len(edges):
-            return req_a <= {e[0] for e in chosen} and req_b <= {e[1] for e in chosen}
-        a, b = edges[i]
-        if rec(i + 1, used_a, used_b, chosen):
+    def rec(i, used_a, used_b):
+        if req_a <= used_a and req_b <= used_b:
             return True
-        if a not in used_a and b not in used_b:
-            return rec(i + 1, used_a | {a}, used_b | {b}, chosen + [edges[i]])
-        return False
+        if i == len(edges):
+            return False
+        a, b = edges[i]
+        if a not in used_a and b not in used_b and rec(i + 1, used_a | {a}, used_b | {b}):
+            return True
+        return rec(i + 1, used_a, used_b)
 
-    return rec(0, set(), set(), [])
+    return rec(0, set(), set())
 
 
 def suite_hall(seed: int, trials: int = 1000):
-    """Coverage feasibility against exhaustive matching enumeration."""
+    """Coverage feasibility against exhaustive matching enumeration; required
+    A-cells may have no edge at all."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11]))
     m_cap = 1
     offsets = offsets_row_major(m_cap, 2)
@@ -211,19 +224,13 @@ def suite_hall(seed: int, trials: int = 1000):
         R = Rect((0, 0), (4, 4))
         a_bits = rng.random(R.sides) < 0.25
         b_bits = rng.random(R.sides) < 0.25
-        edges = []
-        for cell in np.argwhere(a_bits):
-            for off in offsets:
-                nb = tuple(int(c + o) for c, o in zip(cell, off))
-                if all(0 <= p < s for p, s in zip(nb, R.sides)) and b_bits[nb]:
-                    edges.append((tuple(int(c) for c in cell), nb))
+        edges = _edges(a_bits, b_bits, offsets)
         if len(edges) > 12:
             continue
         done += 1
-        a_cells = sorted({e[0] for e in edges})
-        b_cells = sorted({e[1] for e in edges})
-        req_a = [c for c in a_cells if rng.random() < 0.6]
-        req_b = [c for c in b_cells if rng.random() < 0.6]
+        a_cells = [tuple(int(c) for c in p) for p in np.argwhere(a_bits)]
+        req_a = [c for c in a_cells if rng.random() < 0.4]
+        req_b = [c for c in sorted({e[1] for e in edges}) if rng.random() < 0.4]
         win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
         ra = CellSet.from_cells(req_a, R) if req_a else CellSet.empty(R)
         rb = CellSet.from_cells(req_b, R) if req_b else CellSet.empty(R)
@@ -234,49 +241,89 @@ def suite_hall(seed: int, trials: int = 1000):
     return bad == 0, {"disagreements": bad}
 
 
+def suite_extendable(seed: int, trials: int = 1000):
+    """The Baire extendability oracle against exhaustive matching enumeration.
+
+    Each trial draws a sparse 7x7 window, an A-cell x at its centre and a
+    B-neighbour y; (x, y) extends the empty matching on the horizon-2 ball
+    around x exactly when the other edges can cover every other ball cell.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
+    m_cap, horizon = 1, 2
+    offsets = offsets_row_major(m_cap, 2)
+    side = 2 * (horizon + m_cap) + 1
+    R = Rect((0, 0), (side, side))
+    x = (side // 2, side // 2)
+    ball = np.zeros(R.sides, dtype=bool)
+    ball[m_cap : side - m_cap, m_cap : side - m_cap] = True
+    bad = 0
+    done = 0
+    while done < trials:
+        a_bits = rng.random(R.sides) < 0.18
+        b_bits = rng.random(R.sides) < 0.18
+        a_bits[x] = True
+        if int(a_bits.sum() + b_bits.sum()) > 14:
+            continue
+        edges = _edges(a_bits, b_bits, offsets)
+        ys = [q for p, q in edges if p == x]
+        if not ys:
+            continue
+        done += 1
+        y = ys[int(rng.integers(0, len(ys)))]
+        win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
+        got = extendable_oracle(Matching(R, m_cap), win, x, y, horizon)
+        req_a, req_b = a_bits & ball, b_bits & ball
+        req_a[x] = req_b[y] = False
+        want = _enumerate_feasible(
+            [(p, q) for p, q in edges if p != x and q != y],
+            [tuple(int(c) for c in p) for p in np.argwhere(req_a)],
+            [tuple(int(c) for c in q) for q in np.argwhere(req_b)],
+        )
+        bad += got != want
+    return bad == 0, {"disagreements": bad}
+
+
 def suite_equivariance(
     seed: int,
     window_side: int = 256,
     shifts=((3, -2),),
     ladder=(2, 4, 8, 16),
     levels: int = 1,
-    check_mutant: bool = True,
 ):
-    """Base-shift commutation of the multiscale pipeline, plus mutant detection."""
-    from eqdec.lebesgue import build_schedule, run_pipeline
+    """Base-shift commutation of the multiscale pipeline, plus mutant detection.
 
+    The mutant drops the real matching on a random half of the cells, drawn
+    once for the window rather than for the content, so any nonzero shift
+    moves matched cells into and out of it.
+    """
     sys = sample_free_system(seed, 2, 2, 8)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE9]))
     u = TorusPoint(rng.random(2))
     disk = Disk(TorusPoint([0.5, 0.5]), float(np.sqrt(0.15 / np.pi)))
     square = AxisSquare(TorusPoint([0.1, 0.55]), float(np.sqrt(0.15)))
     window = Rect((-window_side // 2,) * 2, (window_side,) * 2)
+    drop = rng.random(window.sides) < 0.5
 
     def make_window(base):
         return extract_window(disk, square, sys, base, window)
 
-    def runner(mutant):
-        def run(win):
+    runs = {}  # by base point: the mutant reuses the real runs
+
+    def run(win):
+        if win.base not in runs:
             schedule = build_schedule(win, ladder, levels)
-            res = run_pipeline(win, schedule, levels, mutant=mutant)
+            res = run_pipeline(win, schedule, levels)
             radii = [r for r in schedule.seed_radii[: levels + 1] if r is not None]
-            return res.matching.a_match, res.margin_formula + max(radii, default=0)
+            runs[win.base] = res.matching.a_match, res.margin_formula + max(radii, default=0)
+        return runs[win.base]
 
-        return run
+    def run_mutant(win):
+        a_match, margin = run(win)
+        return np.where(drop, -1, a_match), margin
 
-    oks = [
-        equivariance_check(runner(False), make_window, sys, u, shift, window)
-        for shift in shifts
-    ]
-    details = {"shifts_ok": oks}
-    ok = all(oks)
-    if check_mutant:
-        detected = not equivariance_check(
-            runner(True), make_window, sys, u, shifts[0], window
-        )
-        details["mutant_detected"] = detected
-        ok = ok and detected
-    return ok, details
+    oks = [equivariance_check(run, make_window, sys, u, shift, window) for shift in shifts]
+    detected = not equivariance_check(run_mutant, make_window, sys, u, shifts[0], window)
+    return all(oks) and detected, {"shifts_ok": oks, "mutant_detected": detected}
 
 
 SUITES = {
@@ -284,6 +331,7 @@ SUITES = {
     "internal_perimeter": suite_internal_perimeter,
     "short_augmenting": suite_short_augmenting,
     "hall": suite_hall,
+    "extendable": suite_extendable,
     "equivariance": suite_equivariance,
 }
 

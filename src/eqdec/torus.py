@@ -345,23 +345,31 @@ class Bitmap(Shape):
 
 
 def shape_from_json(obj) -> Shape:
-    """Build a shape from its JSON description (dict or JSON string)."""
+    """Build a shape from its JSON description (dict or JSON string); a
+    malformed description raises ArgumentError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ArgumentError(f"shape must be a JSON object, got {obj!r}")
     kind = obj.get("type")
-    if kind == "disk":
-        return Disk(TorusPoint(obj["center"]), float(obj["radius"]))
-    if kind == "axis_square":
-        return AxisSquare(TorusPoint(obj["corner"]), float(obj["side"]))
-    if kind == "polygon":
-        return Polygon(tuple(TorusPoint(v) for v in obj["vertices"]))
-    if kind == "bitmap":
-        if "pgm" in obj:
-            return Bitmap.from_pgm(obj["pgm"])
-        res = int(obj["resolution"])
-        raw = np.frombuffer(bytes.fromhex(obj["bits"]), dtype=np.uint8)
-        bits = np.unpackbits(raw)[: res * res].reshape(res, res).astype(bool)
-        return Bitmap(resolution=res, bits=bits)
+    try:
+        if kind == "disk":
+            return Disk(TorusPoint(obj["center"]), float(obj["radius"]))
+        if kind == "axis_square":
+            return AxisSquare(TorusPoint(obj["corner"]), float(obj["side"]))
+        if kind == "polygon":
+            return Polygon(tuple(TorusPoint(v) for v in obj["vertices"]))
+        if kind == "bitmap":
+            if "pgm" in obj:
+                return Bitmap.from_pgm(obj["pgm"])
+            res = int(obj["resolution"])
+            raw = np.frombuffer(bytes.fromhex(obj["bits"]), dtype=np.uint8)
+            bits = np.unpackbits(raw)[: res * res].reshape(res, res).astype(bool)
+            return Bitmap(resolution=res, bits=bits)
+    except KeyError as e:
+        raise ArgumentError(f"{kind} shape lacks the key {e}") from e
+    except (OSError, TypeError, ValueError) as e:
+        raise ArgumentError(f"bad {kind} shape: {e}") from e
     raise ArgumentError(f"unknown shape type {kind!r}")
 
 

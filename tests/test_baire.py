@@ -17,7 +17,7 @@ from eqdec.baire import (
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
 from eqdec.matching import Matching, _tiles, augment_to_max
-from eqdec.suites import _bits_window
+from eqdec.suites import _bits_window, suite_extendable
 from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, offsets_row_major, sample_free_system
 from eqdec.window import build_sparse_coloring, extract_window
 from test_matching import scipy_max_matching_size
@@ -89,69 +89,16 @@ def test_oracle_isolated_pair_and_conflict():
 
 
 def test_oracle_vs_exhaustive_enumeration():
-    rng = np.random.default_rng(17)
-    m_cap = 1
-    offsets = offsets_row_major(m_cap, 2)
-    checked = 0
-    trials = 0
-    while checked < 1000 and trials < 20_000:
-        trials += 1
-        horizon = 2
-        side = 2 * (horizon + m_cap) + 1
-        a = rng.random((side, side)) < 0.18
-        b = rng.random((side, side)) < 0.18
-        centre = (side // 2, side // 2)
-        a[centre] = True
-        if int(a.sum() + b.sum()) > 14:
-            continue
-        R = Rect((0, 0), a.shape)
-        win = _bits_window(CellSet(R, a), CellSet(R, b), m_cap)
-        m = Matching(win.window, m_cap)
-        cands = [
-            tuple(int(c + o) for c, o in zip(centre, off))
-            for off in offsets
-            if b[tuple(int(c + o) for c, o in zip(centre, off))]
-        ]
-        if not cands:
-            continue
-        y = cands[int(rng.integers(0, len(cands)))]
-        got = extendable_oracle(m, win, centre, y, horizon)
-        want = _exhaustive_extendable(a, b, centre, y, horizon, m_cap, offsets)
-        assert got == want, (a.nonzero(), b.nonzero(), centre, y)
-        checked += 1
-    assert checked == 1000
+    ok, details = suite_extendable(17)
+    assert ok and details == {"disagreements": 0}
 
 
-def _exhaustive_extendable(a, b, x, y, horizon, m_cap, offsets):
-    """Brute force: try all matchings extending {(x, y)} and check coverage."""
-    sides = a.shape
-
-    def ball(c):
-        return max(abs(c[0] - x[0]), abs(c[1] - x[1])) <= horizon
-
-    a_cells = [tuple(c) for c in np.argwhere(a) if tuple(c) != x]
-    req_a = [c for c in a_cells if ball(c)]
-    req_b = [tuple(c) for c in np.argwhere(b) if ball(tuple(c)) and tuple(c) != y]
-    edges = []
-    for c in a_cells:
-        for off in offsets:
-            nb = tuple(int(q + o) for q, o in zip(c, off))
-            if all(0 <= p < s for p, s in zip(nb, sides)) and b[nb] and nb != y:
-                edges.append((c, nb))
-
-    def rec(i, used_a, used_b):
-        if set(req_a) <= used_a and set(req_b) <= used_b:
-            return True
-        if i == len(edges):
-            return False
-        if rec(i + 1, used_a, used_b):
-            return True
-        p, q = edges[i]
-        if p not in used_a and q not in used_b:
-            return rec(i + 1, used_a | {p}, used_b | {q})
-        return False
-
-    return rec(0, set(), set())
+@pytest.mark.parametrize("verdict", [True, False])
+def test_extendable_suite_catches_a_constant_oracle(monkeypatch, verdict):
+    # the suite must fail when every candidate check gives the same answer
+    monkeypatch.setattr(_OracleContext, "check", lambda self, partner: verdict)
+    ok, details = suite_extendable(17, trials=300)
+    assert not ok and details["disagreements"] > 20
 
 
 def test_oracle_monotone_in_horizon():

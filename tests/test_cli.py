@@ -34,12 +34,6 @@ def test_audit_writes_csv_and_is_deterministic(tmp_path):
     assert json.loads((out / "audit.json").read_text())["a"]["delta"] > 0
 
 
-def test_malformed_config_exits_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("audit", "--config", bad) == 2
-
-
 def test_unknown_suite_exits_2():
     assert run_cli("lemma-tests", "--suite", "nope") == 2
 
@@ -77,6 +71,27 @@ def _cli_process(*args):
     )
 
 
+MALFORMED_CONFIGS = {
+    "not-json": "{not json",
+    "window": '{"window": "abc"}',
+    "seed": '{"seed": "x"}',
+    "k": '{"k": "2"}',
+    "i_max": '{"i_max": "z"}',
+    "shape-key": '{"shape_a": {"type": "disk"}}',
+    "ladder-string": '{"ladder": "8"}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_exits_2(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    proc = _cli_process("audit", "--config", bad, "--out", tmp_path)
+    assert proc.returncode == 2 and "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("command, code, stream", [("verify", 1, "stdout"), ("render", 2, "stderr")])
 def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
     proc = _cli_process(command, tmp_path / "missing.eqdc")
@@ -89,7 +104,7 @@ def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
     assert "missing.eqdc" in line
 
 
-@pytest.mark.parametrize("tamper", ["no-system", "header-m7"])
+@pytest.mark.parametrize("tamper", ["no-system", "header-m7", "shape-key"])
 def test_verify_malformed_run_is_one_line_fail(tmp_path, tamper):
     out = tmp_path / "sq"
     assert run_cli("square", "--window", 64, "--seed", 3, "--out", out, "--ladder", "8") == 0
@@ -99,7 +114,10 @@ def test_verify_malformed_run_is_one_line_fail(tmp_path, tamper):
     else:
         pos = raw.rindex(b'{"config":')
         manifest = json.loads(raw[pos:])
-        del manifest["config"]["system"]
+        if tamper == "no-system":
+            del manifest["config"]["system"]
+        else:
+            del manifest["config"]["shape_a"]["radius"]
         raw = raw[:pos] + json.dumps(manifest).encode()
     bad = tmp_path / "bad.eqdc"
     bad.write_bytes(raw)
@@ -194,7 +212,8 @@ def test_baire_extendability_failure_is_one_line(tmp_path):
 
 
 def test_lemma_tests_single_suite():
-    assert run_cli("lemma-tests", "--suite", "isoperimetry", "--seed", 3) == 0
+    for name in ("isoperimetry", "extendable"):
+        assert run_cli("lemma-tests", "--suite", name, "--seed", 3) == 0
 
 
 def test_every_all_entry_resolves():

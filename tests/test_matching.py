@@ -21,8 +21,8 @@ from eqdec.matching import (
 from eqdec.suites import (
     _bits_window,
     _canonical_max_matching,
-    _enumerate_feasible,
     _random_matching,
+    suite_hall,
     suite_short_augmenting,
 )
 from eqdec.torus import offsets_row_major
@@ -150,30 +150,8 @@ def test_hall_deficiency_examples():
 
 
 def test_hall_deficiency_vs_enumeration():
-    rng = np.random.default_rng(13)
-    R = Rect((0, 0), (4, 4))
-    offsets = offsets_row_major(1, 2)
-    done = 0
-    while done < 1000:
-        a = rng.random((4, 4)) < 0.25
-        b = rng.random((4, 4)) < 0.25
-        edges = []
-        for cell in np.argwhere(a):
-            for off in offsets:
-                nb = tuple(int(c + o) for c, o in zip(cell, off))
-                if all(0 <= p < 4 for p in nb) and b[nb]:
-                    edges.append((tuple(int(x) for x in cell), nb))
-        if len(edges) > 12:
-            continue
-        done += 1
-        a_cells = sorted({e[0] for e in edges} | {tuple(c) for c in np.argwhere(a)})
-        req_a = [c for c in a_cells if rng.random() < 0.4]
-        req_b = [c for c in sorted({e[1] for e in edges}) if rng.random() < 0.4]
-        win = _bits_window(CellSet(R, a), CellSet(R, b), 1)
-        ra = CellSet.from_cells(req_a, R) if req_a else CellSet.empty(R)
-        rb = CellSet.from_cells(req_b, R) if req_b else CellSet.empty(R)
-        cert = hall_deficiency(win, R, ra, rb)
-        assert (cert is None) == _enumerate_feasible(edges, req_a, req_b)
+    ok, details = suite_hall(13)
+    assert ok and details == {"disagreements": 0}
 
 
 def test_matching_validate_catches_corruption():
