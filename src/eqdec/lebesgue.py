@@ -14,9 +14,8 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, build_rect_tree
 from eqdec.matching import (
     Matching,
+    _augment_regions,
     _layered_bfs,
-    augment_phase,
-    augment_to_max,
     greedy_offset_pass,
 )
 from eqdec.window import CosetWindow, build_sparse_coloring, greedy_sparse_net
@@ -274,14 +273,28 @@ def _cube_slices(dom: GridDomain, ci: int, win_rect: Rect):
     return dom.cube_rect(ci).slices_in(win_rect)
 
 
-def _match_regions(win: CosetWindow, m: Matching, region, n_regions: int, slices_of):
+def _boxes(rects, window: Rect):
+    """The low corners, in window-array coordinates, and the sides of rects,
+    as two (n, d) arrays."""
+    lows = np.array([r.low for r in rects], dtype=np.int64).reshape(-1, window.d)
+    sides = np.array([r.sides for r in rects], dtype=np.int64).reshape(-1, window.d)
+    return lows - np.array(window.low), sides
+
+
+def _cube_boxes(dom: GridDomain, window: Rect):
+    """``_boxes`` of every cube of a domain."""
+    lows = dom.cube_lows - np.array(window.low)
+    return lows, np.full_like(lows, dom.n_cube)
+
+
+def _match_regions(win: CosetWindow, m: Matching, region, lows, sides):
     """Canonical maximum matching inside every region of a region-id grid.
 
-    ``region`` holds each cell's region id in ``range(n_regions)`` (-1 outside
-    every region) and ``slices_of(rid)`` a region's window slices. One batched
-    greedy pass, then augmentation to maximum in each region that still has a
-    free A-cell and a free B-cell. Regions are disjoint, so the order of
-    augmentation does not change the result.
+    ``region`` holds each cell's region id, a row of the (n, d) box arrays
+    ``lows`` and ``sides`` (``_boxes``), or -1 outside every region. One
+    batched greedy pass, then batched augmentation to maximum in every region
+    that still has a free A-cell and a free B-cell. Regions are disjoint, so
+    each ends as if it had been matched alone.
     """
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
     greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=region)
@@ -289,19 +302,16 @@ def _match_regions(win: CosetWindow, m: Matching, region, n_regions: int, slices
     valid = ids >= 0
     free_a = a_bits.ravel() & (m.a_match.ravel() < 0) & valid
     free_b = b_bits.ravel() & (m.b_match.ravel() < 0) & valid
-    ua = np.bincount(ids[free_a], minlength=n_regions)
-    ub = np.bincount(ids[free_b], minlength=n_regions)
-    for rid in np.flatnonzero((ua > 0) & (ub > 0)):
-        sl = slices_of(int(rid))
-        augment_to_max(a_bits[sl], b_bits[sl], m.a_match[sl], m.b_match[sl], m.m_cap)
+    ua = np.bincount(ids[free_a], minlength=len(lows))
+    ub = np.bincount(ids[free_b], minlength=len(lows))
+    keep = (ua > 0) & (ub > 0)
+    _augment_regions(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, lows[keep], sides[keep])
 
 
 def init_m0(win: CosetWindow, dom: GridDomain) -> Matching:
     """Canonical maximum matching inside every level-0 cube."""
     m = Matching(win.window, win.sys.m_cap)
-    _match_regions(
-        win, m, dom.cube_id, len(dom.cube_lows), lambda ci: _cube_slices(dom, ci, win.window)
-    )
+    _match_regions(win, m, dom.cube_id, *_cube_boxes(dom, win.window))
     return m
 
 
@@ -351,9 +361,7 @@ def rematch_dirty_cubes(m2: Matching, dom: GridDomain, prev: GridDomain, win: Co
     region = np.full(dom.cube_id.shape, -1, dtype=np.int32)
     valid = dom.cube_id >= 0
     region[valid] = np.where(lookup[dom.cube_id[valid]], dom.cube_id[valid], -1)
-    _match_regions(
-        win, out, region, len(dom.cube_lows), lambda ci: _cube_slices(dom, ci, win.window)
-    )
+    _match_regions(win, out, region, *_cube_boxes(dom, win.window))
     return out, dirty
 
 
@@ -366,24 +374,7 @@ def _cube_tree(dom: GridDomain, ci: int, prev: GridDomain, win: CosetWindow):
     if (prev_ids < 0).any() or int(owners.min()) != int(owners.max()):
         raise ArgumentError("refine requires a clean cube")
     seed = prev.seeds[int(owners.flat[0])]
-    return cube, build_rect_tree(cube, tuple(int(x) for x in seed), prev.n_cube)
-
-
-def _refine_augment(m3: Matching, win: CosetWindow, cube: Rect, tree) -> None:
-    """Bounded-length augmentation sweeps, tree levels from fine to coarse."""
-    sl = cube.slices_in(win.window)
-    a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
-    am, bm = m3.a_match[sl], m3.b_match[sl]
-    for level in range(tree.h, 0, -1):
-        cap = (1 << (tree.h - level + 1)) * _tree_n_prev(tree) + _tree_n_prev(tree) // 2
-        for node in tree.level_nodes(level - 1):
-            rsl = node.rect.slices_in(cube)
-            while augment_phase(a_bits[rsl], b_bits[rsl], am[rsl], bm[rsl], m3.m_cap, cap):
-                pass
-
-
-def _tree_n_prev(tree) -> int:
-    return tree.root.sides[0] >> tree.h
+    return build_rect_tree(cube, tuple(int(x) for x in seed), prev.n_cube)
 
 
 def _refine_all(
@@ -394,29 +385,38 @@ def _refine_all(
 
     Mutates ``m3`` in place (the clean cubes' slices only); raises on a dirty
     cube. Basic rectangles that are not cubes of the previous domain get fresh
-    canonical matchings first, all in one batched greedy pass.
+    canonical matchings first, all in one batch. Then each tree level, fine
+    to coarse, is one batch of length-capped augmentation over its nodes in
+    every clean cube: all trees share the height log2(N / n_prev), so a
+    level's nodes share one cap. Cubes are disjoint, so batching across them
+    leaves each cube as if it had been refined alone.
     """
     n_prev = prev.n_cube
-    trees = {}
-    fresh = []  # window-level slice tuples
+    trees = []
+    fresh = []
     for ci in clean_ids:
-        cube, tree = _cube_tree(dom, ci, prev, win)
-        trees[ci] = (cube, tree)
+        tree = _cube_tree(dom, ci, prev, win)
+        trees.append(tree)
         for node in tree.level_nodes(tree.h):
             if all(s == n_prev for s in node.rect.sides):
                 continue
+            fresh.append(node.rect)
             wsl = node.rect.slices_in(win.window)
-            fresh.append(wsl)
             m3.a_match[wsl] = -1
             m3.b_match[wsl] = -1
     if fresh:
         region = np.full(win.window.sides, -1, dtype=np.int32)
-        for rid, wsl in enumerate(fresh):
-            region[wsl] = rid
-        _match_regions(win, m3, region, len(fresh), fresh.__getitem__)
-    for ci in clean_ids:
-        cube, tree = trees[ci]
-        _refine_augment(m3, win, cube, tree)
+        for rid, rect in enumerate(fresh):
+            region[rect.slices_in(win.window)] = rid
+        _match_regions(win, m3, region, *_boxes(fresh, win.window))
+    h = (dom.n_cube // n_prev).bit_length() - 1
+    for level in range(h, 0, -1):
+        cap = (1 << (h - level + 1)) * n_prev + n_prev // 2
+        nodes = [node.rect for tree in trees for node in tree.level_nodes(level - 1)]
+        lows, sides = _boxes(nodes, win.window)
+        _augment_regions(
+            win.a_bits.bits, win.b_bits.bits, m3.a_match, m3.b_match, m3.m_cap, lows, sides, cap
+        )
 
 
 # ---------------------------------------------------------------------------

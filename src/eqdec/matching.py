@@ -5,18 +5,25 @@ stored as per-cell offset indices (row-major index into the offset box), with
 a consistently maintained inverse map. The engine answers three questions:
 
 - a maximum matching of a region: ``greedy_offset_pass`` (offsets row-major)
-  then ``augment_to_max`` (shortest-path phases, row-major tie-breaks) give
-  the canonical one, a pure function of the window content, so translating
-  the content translates the matching. ``ladder_max_matching`` reaches some
+  then shortest-path phases (row-major tie-breaks) until none flips give the
+  canonical one, a pure function of the window content, so translating the
+  content translates the matching. ``ladder_max_matching`` reaches some
   maximum matching faster: nearest-first greedy offsets leave fewer
   augmenting paths, and its forest sweeps (``_forest_sweep``) flip up to one
   path per free A-cell whatever its length. Only the Baire side calls it,
   whose checks read a verdict that every maximum matching gives alike;
 - can one side be covered into the other, with a Hall-deficient witness
   when not: ``cover_side``, which ``hall_deficiency`` runs for both sides;
-- length-capped augmentation: ``augment_phase`` flips vertex-disjoint
-  shortest augmenting paths no longer than its cap; ``_layered_bfs`` alone
-  says whether one exists.
+- length-capped augmentation: a phase flips vertex-disjoint shortest
+  augmenting paths no longer than its cap; ``_layered_bfs`` alone says
+  whether one exists.
+
+Phases run over packed regions: ``_augment_regions`` stacks every region of
+a pass still active into bounded packs along axis 0, M empty rows apart, and
+runs one phase per pack, each region stopping at its own first layer with a
+free B-cell. So thousands of small regions cost a few dozen numpy calls per
+pack, not per region, and each ends exactly as if phased alone.
+``augment_phase`` and ``augment_to_max`` are the same code on one region.
 
 Three kernels carry most of the work. The greedy pass walks a shrinking list
 of free A-cells, as flat indices into grids padded by M, instead of sweeping
@@ -47,6 +54,16 @@ __all__ = [
     "HallCertificate",
     "hall_deficiency",
 ]
+
+# Cells of one pack of regions in ``_augment_regions``, gutters included.
+# Larger packs hold more memory at once (unbounded ones raised the
+# flagship's peak RSS by over 10%); packs of 2^14 to 2^16 cells made its
+# solve 11-27% slower.
+PACK_CELLS = 1 << 17
+
+# Extra rows, past 2M, between two frontier cells at which the layered BFS
+# splits its A -> B step into separate bounding boxes (``_row_bands``).
+BAND_GAP = 64
 
 # Cube side of the ladder's greedy pass and first scale of hierarchy_augment,
 # before rounding up past 2M. 128 was the fastest of 32, 64, 128 and 256 on
@@ -246,16 +263,39 @@ def _partners_inside(bs, b_match, offsets, shape):
     return As, np.all(As >= 0, axis=1) & np.all(As < shape, axis=1)
 
 
-def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len):
+def _row_bands(pts, m_cap):
+    """Split frontier cells into bands of rows more than 2M + ``BAND_GAP``
+    apart, in row order. The bands' A -> B boxes are disjoint, so one
+    ``_a_to_b`` per band reaches what one over all the cells would, while
+    the rows between bands (a pack's finished regions) cost nothing."""
+    rows = pts[:, 0]
+    lo = int(rows.min())
+    occupied = np.flatnonzero(np.bincount(rows - lo)) + lo
+    cuts = occupied[1:][np.diff(occupied) > 2 * m_cap + BAND_GAP]
+    if len(cuts) == 0:
+        return [pts]
+    band = np.searchsorted(cuts, rows, side="right")
+    sizes = np.bincount(band, minlength=len(cuts) + 1)
+    return np.split(pts[np.argsort(band, kind="stable")], np.cumsum(sizes)[:-1])
+
+
+def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_region=None):
     """Layered alternating BFS from every unmatched A-cell.
 
     Returns a ``BfsLayers``. Layers hold edge-distances: even on the A side,
     odd on the B side. Work per layer is confined to the frontier's bounding
-    box, which keeps long single-source searches cheap. Each A -> B step
+    box, one per band of rows (``_row_bands``), which keeps long
+    single-source searches and sparse packs cheap. Each A -> B step
     (``_a_to_b``) yields the reached B-cells and, for each, its parent (the
     row-major first frontier cell within M), so the walk-back need not search
     a patch. With no start cell, the grids returned are read-only views of -1
     and nothing is allocated.
+
+    ``row_region`` runs the search on a pack of regions (``_augment_regions``)
+    at once: it holds each row's region index, -1 in the gutters; by default
+    the array is one region. Each region stops at its own first layer that
+    reaches a free B-cell, and ``depth`` is the last such layer of any
+    region.
     """
     front_full = a_bits & (a_match < 0)
     if not front_full.any():
@@ -267,36 +307,44 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len):
     parent = np.full(shape, -1, dtype=np.int32)
     pts = np.argwhere(front_full)
     layer_a[tuple(pts.T)] = 0
+    if row_region is None:
+        row_region = np.zeros(shape[0], dtype=np.int32)  # one region
+    done = np.zeros(int(row_region.max()) + 1, dtype=bool)
+    ends, end_depth = None, -1
     depth = 0
-
-    def stop():
-        return BfsLayers(layer_a, layer_b, None, -1, parent)
-
     while True:
         depth += 1  # step A -> B over any edge
         if depth > cap_len:
-            return stop()
-        bs, parents = _a_to_b(pts, b_bits, layer_b, m_cap)
+            break
+        reached = [_a_to_b(band, b_bits, layer_b, m_cap) for band in _row_bands(pts, m_cap)]
+        bs = np.concatenate([r[0] for r in reached])
         if len(bs) == 0:
-            return stop()
+            break
         cells = tuple(bs.T)
         layer_b[cells] = depth
-        parent[cells] = parents
+        parent[cells] = np.concatenate([r[1] for r in reached])
         free = b_match[cells] < 0
         if free.any():
-            ends = np.zeros(shape, dtype=bool)
+            if ends is None:
+                ends = np.zeros(shape, dtype=bool)
             ends[tuple(bs[free].T)] = True
-            return BfsLayers(layer_a, layer_b, ends, depth, parent)
+            end_depth = depth
+            region = row_region[bs[:, 0]]
+            done[region[free]] = True
+            bs = bs[~done[region]]
         depth += 1  # step B -> A over matched edges
         if depth > cap_len:
-            return stop()
+            break
         # a matched A-cell is reached only from its partner, which the
-        # A -> B step labels once, so no A-cell is labelled twice
+        # A -> B step labels once, so no A-cell is labelled twice; a partner
+        # in a pack's gutter is outside its region and stops the path
         As, inside = _partners_inside(bs, b_match, offsets, shape)
         pts = As[inside]
+        pts = pts[a_bits[tuple(pts.T)]]
         if len(pts) == 0:
-            return stop()
+            break
         layer_a[tuple(pts.T)] = depth
+    return BfsLayers(layer_a, layer_b, ends, end_depth, parent)
 
 
 def _first_true(mask) -> tuple | None:
@@ -327,7 +375,7 @@ def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a, used_b):
     sides = layer_a.shape
     nodes = [end]
     cur = end
-    lev = bfs.depth
+    lev = int(bfs.layer_b[end])
     while lev > 0:
         a = _unravel(int(parent[cur]), sides)
         if used_a[a]:
@@ -366,23 +414,21 @@ def _apply_flip(nodes, a_match, b_match, offsets, m_cap):
         b_match[b] = k
 
 
-def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len):
+def _phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, row_region=None):
     """One BFS plus a peel of vertex-disjoint shortest augmenting paths.
 
-    Returns the number of paths flipped (0 when no path of length <= cap_len
-    exists).
+    Paths are peeled from their B ends in row-major order. Returns the
+    axis-0 rows of the flipped paths' B ends, which ``row_region`` maps to
+    regions in a pack.
     """
-    if not (b_bits & (b_match < 0)).any():
-        return 0  # no endpoint can exist, and the BFS writes no match grid
     offsets = offsets_row_major(m_cap, a_bits.ndim)
-    bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len)
+    bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_region)
     if bfs.ends is None:
-        return 0
+        return []
     used_a = np.zeros_like(a_bits)
     used_b = np.zeros_like(a_bits)
-    flips = 0
-    for flat in np.flatnonzero(bfs.ends.ravel()):
-        end = _unravel(int(flat), a_bits.shape)
+    rows = []
+    for end in map(tuple, np.argwhere(bfs.ends).tolist()):
         if used_b[end]:
             continue
         nodes = _walk_back(end, bfs, a_match, offsets, m_cap, used_a, used_b)
@@ -391,8 +437,20 @@ def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len):
         _apply_flip(nodes, a_match, b_match, offsets, m_cap)
         for i, n in enumerate(nodes):
             (used_b if i % 2 == 0 else used_a)[n] = True
-        flips += 1
-    return flips
+        rows.append(end[0])
+    return rows
+
+
+def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len):
+    """One phase on one region: flips vertex-disjoint shortest augmenting
+    paths no longer than ``cap_len``.
+
+    Returns the number of paths flipped (0 when no path of length <= cap_len
+    exists).
+    """
+    if not (b_bits & (b_match < 0)).any():
+        return 0  # no endpoint can exist, and the BFS writes no match grid
+    return len(_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len))
 
 
 def augment_to_max(a_bits, b_bits, a_match, b_match, m_cap):
@@ -404,6 +462,74 @@ def augment_to_max(a_bits, b_bits, a_match, b_match, m_cap):
         if flips == 0:
             return total
         total += flips
+
+
+def _augment_regions(a_bits, b_bits, a_match, b_match, m_cap, lows, sides, cap_len=None):
+    """Augment in every region until a phase flips nothing there.
+
+    Regions are disjoint boxes of the arrays, given by their (n, d) low
+    corners and sides. Each ends as if ``augment_phase`` had run on its
+    slices alone, over and over, with ``cap_len`` (no cap when None). Each
+    phase runs once for all regions still active: runs of them are copied
+    into packs of about ``PACK_CELLS`` cells (or one region), stacked along
+    axis 0 with M empty rows between them, so no edge joins two regions and
+    the partner of a B-cell matched out of its region lands in a gutter, out
+    of the pack, or on a row's padding past its region. Row-major order in a
+    pack, restricted to one region, is that region's own row-major order, so
+    the parents, the ends and the peel are those of the one-region phase.
+    """
+    if not len(lows):
+        return
+    lows, sides = np.asarray(lows), np.asarray(sides)
+    # every pack lives in buffers made once per call: fresh pack-sized
+    # arrays per phase left the heap fragmented enough to raise the
+    # flagship's peak RSS from about 160 to 173 MiB. A pack's regions start
+    # less than one row budget apart, so no pack is taller than ``height``.
+    trail = int(np.prod(sides[:, 1:].max(axis=0)))
+    height = min(PACK_CELLS // trail + int(sides[:, 0].max()), int((sides[:, 0] + m_cap).sum()))
+    bits = np.empty((2, height * trail), dtype=bool)
+    matches = np.empty((2, height * trail), dtype=np.int32)
+    active = np.arange(len(lows))
+    while len(active):
+        rows = sides[active, 0] + m_cap
+        budget = max(1, PACK_CELLS // int(np.prod(sides[active, 1:].max(axis=0))))
+        pack_of = (np.cumsum(rows) - rows) // budget
+        still = []
+        for ids in np.split(active, np.flatnonzero(np.diff(pack_of)) + 1):
+            heights = sides[ids, 0]
+            starts = np.cumsum(heights + m_cap) - heights - m_cap
+            pack = (int(starts[-1] + heights[-1]),) + tuple(sides[ids, 1:].max(axis=0).tolist())
+            cells = int(np.prod(pack))
+            bits[:, :cells], matches[:, :cells] = False, -1
+            pa, pb = (b[:cells].reshape(pack) for b in bits)
+            pam, pbm = (b[:cells].reshape(pack) for b in matches)
+            row_region = np.full(pack[0], -1, dtype=np.int32)
+            places = []
+            boxes = zip(starts.tolist(), lows[ids].tolist(), sides[ids].tolist())
+            for j, (r, lo, sd) in enumerate(boxes):
+                sl = tuple(slice(l, l + n) for l, n in zip(lo, sd))
+                dst = (slice(r, r + sd[0]),) + tuple(slice(0, n) for n in sd[1:])
+                pa[dst], pb[dst] = a_bits[sl], b_bits[sl]
+                pam[dst], pbm[dst] = a_match[sl], b_match[sl]
+                row_region[dst[0]] = j
+                places.append((sl, dst))
+            # a phase flips nothing in a region without a free A-cell and a
+            # free B-cell: take its A-cells out of the search
+            flat = (pack[0], -1)
+            free_a = (pa & (pam < 0)).reshape(flat).any(axis=1)
+            free_b = (pb & (pbm < 0)).reshape(flat).any(axis=1)
+            live = np.logical_or.reduceat(free_a, starts) & np.logical_or.reduceat(free_b, starts)
+            if not live.any():
+                continue
+            pa[~live[row_region]] = False  # gutter rows hold no A-cell anyway
+            cap = 2 * pa.size + 1 if cap_len is None else cap_len
+            end_rows = _phase(pa, pb, pam, pbm, m_cap, cap, row_region)
+            flipped = np.flatnonzero(np.bincount(row_region[end_rows], minlength=len(ids)))
+            for j in flipped.tolist():
+                sl, dst = places[j]
+                a_match[sl], b_match[sl] = pam[dst], pbm[dst]
+            still.append(ids[flipped])
+        active = np.concatenate(still) if still else active[:0]
 
 
 def _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):

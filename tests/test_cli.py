@@ -72,21 +72,24 @@ def _cli_process(*args):
 
 
 MALFORMED_CONFIGS = {
-    "not-json": "{not json",
-    "window": '{"window": "abc"}',
-    "seed": '{"seed": "x"}',
-    "k": '{"k": "2"}',
-    "i_max": '{"i_max": "z"}',
-    "shape-key": '{"shape_a": {"type": "disk"}}',
-    "ladder-string": '{"ladder": "8"}',
+    "not-json": ("audit", "{not json"),
+    "window": ("audit", '{"window": "abc"}'),
+    "seed": ("audit", '{"seed": "x"}'),
+    "k": ("audit", '{"k": "2"}'),
+    "i_max": ("audit", '{"i_max": "z"}'),
+    "shape-key": ("audit", '{"shape_a": {"type": "disk"}}'),
+    "ladder-string": ("audit", '{"ladder": "8"}'),
+    "radii-empty": ("baire", '{"radii": []}'),
 }
 
 
-@pytest.mark.parametrize("text", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
-def test_malformed_config_exits_2(tmp_path, text):
+@pytest.mark.parametrize(
+    "command, text", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys()
+)
+def test_malformed_config_exits_2(tmp_path, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    proc = _cli_process("audit", "--config", bad, "--out", tmp_path)
+    proc = _cli_process(command, "--config", bad, "--out", tmp_path)
     assert proc.returncode == 2 and "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")

@@ -168,6 +168,15 @@ def test_square_run_golden_hash(ladder):
     assert digest == GOLDEN_SQUARE[ladder]
 
 
+def test_square_three_level_golden_hash():
+    # a second rematch and refine round, on a matching an earlier refine made:
+    # `eqdec square --window 512 --ladder 4,16,64 --levels 2` at seed 7
+    win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 512})
+    m = run_pipeline(win, build_schedule(win, (4, 16, 64), 2), 2).matching
+    digest = hashlib.sha256(m.a_match.tobytes() + m.b_match.tobytes()).hexdigest()
+    assert digest == "8b8c16b55b5f1a0e6498b0689349389796b2b90327cbddbefd6df1c3197be0ab"
+
+
 @pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
 def test_square_pipeline_never_runs_the_ladder(monkeypatch, ladder):
     # ladder_max_matching (nearest-first greedy), hierarchy_augment and its

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from eqdec import matching, suites
 from eqdec.matching import (
     LADDER_BASE,
     Matching,
+    _augment_regions,
     _first_true,
     _forest_sweep,
     _layered_bfs,
@@ -389,6 +392,27 @@ def test_bfs_parent_is_first_patch_cell_of_previous_layer():
     assert np.all(bfs.layer_a == -1) and np.all(bfs.layer_b == -1)
 
 
+def test_row_bands_leave_the_bfs_unchanged(monkeypatch):
+    # sparse frontiers on tall grids: with no band gap the A -> B step splits
+    # wherever rows lie over 2M apart, and every label and parent must stay
+    rng = np.random.default_rng(31)
+    split = 0
+    for d, shape, m_cap in ((1, (200,), 2), (2, (90, 7), 1), (2, (90, 9), 2), (3, (40, 4, 4), 1)):
+        offsets = offsets_row_major(m_cap, d)
+        for _ in range(20):
+            a = rng.random(shape) < 0.15
+            b = rng.random(shape) < 0.4
+            m = _loose_matching(rng, a, b, m_cap)
+            want = _layered_bfs(a, b, m.a_match, m.b_match, offsets, m_cap, 99)
+            with monkeypatch.context() as mp:
+                mp.setattr(matching, "BAND_GAP", 0)
+                got = _layered_bfs(a, b, m.a_match, m.b_match, offsets, m_cap, 99)
+                split += len(matching._row_bands(np.argwhere(a & (m.a_match < 0)), m_cap)) > 1
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+    assert split > 40
+
+
 def test_augment_phase_equals_patch_search_walk_back(monkeypatch):
     rng = np.random.default_rng(23)
     fallbacks = []
@@ -411,3 +435,74 @@ def test_augment_phase_equals_patch_search_walk_back(monkeypatch):
                 assert flips == ref_flips
                 assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
     assert fallbacks  # some walk-backs found their parent already used
+
+
+def _loose_matching(rng, a, b, m_cap):
+    """A fast random non-maximum matching: greedy over shuffled offsets,
+    then about a third of its edges dropped."""
+    am = np.full(a.shape, -1, dtype=np.int32)
+    bm = np.full(a.shape, -1, dtype=np.int32)
+    order = rng.permutation(len(offsets_row_major(m_cap, a.ndim)))
+    greedy_offset_pass(a, b, am, bm, m_cap, order=order)
+    m = Matching(Rect((0,) * a.ndim, a.shape), m_cap, am, bm)
+    a_idx, _, b_idx = m.edges()
+    drop = rng.random(len(a_idx)) < 0.35
+    am[tuple(a_idx[drop].T)] = -1
+    bm[tuple(b_idx[drop].T)] = -1
+    return m
+
+
+def _random_regions(rng, shape):
+    """Some boxes of a random grid of cuts: disjoint regions of unequal
+    shapes, in row-major order of their corners or shuffled."""
+    axes = []
+    for n in shape:
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False))
+        axes.append(list(zip([0, *cuts], [*cuts, n])))
+    boxes = [tuple(slice(lo, hi) for lo, hi in box) for box in itertools.product(*axes)]
+    keep = [box for box in boxes if rng.random() < 0.7] or boxes[:1]
+    if rng.random() < 0.5:
+        rng.shuffle(keep)
+    return keep
+
+
+@pytest.mark.parametrize("pack_cells", [None, 1])
+def test_packed_phases_equal_one_region_phases(monkeypatch, pack_cells):
+    # _augment_regions against augment_phase looped on each region alone, on
+    # random matchings of the whole grid, so partners lie outside regions;
+    # with a one-cell pack bound every region packs alone
+    if pack_cells is not None:
+        monkeypatch.setattr(matching, "PACK_CELLS", pack_cells)
+    rng = np.random.default_rng(29)
+    crossed = 0
+    for d, side in ((1, 90), (2, 26), (3, 11)):
+        for m_cap in (1, 2, 3):
+            for _ in range(3):
+                shape = (side,) * d
+                a = rng.random(shape) < rng.uniform(0.3, 0.6)
+                b = rng.random(shape) < rng.uniform(0.3, 0.6)
+                m = _loose_matching(rng, a, b, m_cap)
+                regions = _random_regions(rng, shape)
+                region_id = np.full(shape, -1)
+                for i, sl in enumerate(regions):
+                    region_id[sl] = i
+                inner = region_id >= 0
+                lows = [[s.start for s in sl] for sl in regions]
+                sides = [[s.stop - s.start for s in sl] for sl in regions]
+                for cap in (None, 1, 3, 5):
+                    got_a, got_b = m.a_match.copy(), m.b_match.copy()
+                    _augment_regions(a, b, got_a, got_b, m_cap, lows, sides, cap)
+                    ref_a, ref_b = m.a_match.copy(), m.b_match.copy()
+                    for sl in regions:
+                        if cap is None:
+                            augment_to_max(a[sl], b[sl], ref_a[sl], ref_b[sl], m_cap)
+                        else:
+                            while augment_phase(a[sl], b[sl], ref_a[sl], ref_b[sl], m_cap, cap):
+                                pass
+                    assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
+                    assert np.array_equal(got_a[~inner], m.a_match[~inner])
+                # B-cells in a region matched out of it
+                bs = np.argwhere(inner & (m.b_match >= 0))
+                partners = bs - offsets_row_major(m_cap, d)[m.b_match[tuple(bs.T)]]
+                crossed += int((region_id[tuple(partners.T)] != region_id[tuple(bs.T)]).sum())
+    assert crossed > 100

@@ -132,6 +132,38 @@ def test_greedy_sparse_net_sparse_and_maximal():
         greedy_sparse_net(win, col, 9)
 
 
+def _greedy_net_per_class(win, coloring, r):
+    """The greedy net with one step per color class, skipped or not."""
+    sides = win.window.sides
+    colors = coloring.color_of(win.torus_coords()).reshape(-1)
+    order = np.argsort(colors, kind="stable")
+    covered = np.zeros(sides, dtype=bool)
+    net = np.zeros(sides, dtype=bool)
+    for color in np.unique(colors):
+        cand = order[colors[order] == color]
+        cand = cand[~covered.reshape(-1)[cand]]
+        net.reshape(-1)[cand] = True
+        for cell in zip(*np.unravel_index(cand, sides)):
+            covered[tuple(slice(max(0, c - r), c + r + 1) for c in cell)] = True
+    return net
+
+
+def test_greedy_sparse_net_skips_covered_classes_like_the_per_class_loop():
+    rng = np.random.default_rng(11)
+    disk, square = _shapes()
+    for trial in range(4):
+        sys = sample_free_system(int(rng.integers(1 << 30)), 2, 2, 4)
+        side = int(rng.integers(40, 90))
+        u = TorusPoint(rng.random(2).tolist())
+        win = extract_window(disk, square, sys, u, Rect((-side // 2, 0), (side, side + 7)))
+        r = 24
+        col = build_sparse_coloring(sys, r)
+        net = greedy_sparse_net(win, col, r)
+        classes = len(np.unique(col.color_of(win.torus_coords())))
+        assert classes > 20 * net.size()  # most classes are skipped
+        assert np.array_equal(net.bits, _greedy_net_per_class(win, col, r))
+
+
 @pytest.mark.parametrize("pipeline", ["square", "baire"])
 def test_pipelines_leave_the_window_unchanged(pipeline):
     from eqdec.baire import run_baire
