@@ -84,8 +84,8 @@ def build_nets(
     automatically sparse.
     """
     radii = tuple(int(r) for r in radii)
-    if not radii:
-        raise ArgumentError("radii must be non-empty")
+    if not radii or min(radii) < 1:
+        raise ArgumentError("radii must be non-empty and positive")
     if any(a > b for a, b in zip(radii, radii[1:])):
         raise ArgumentError("radii must be non-decreasing")
     m_cap = win.sys.m_cap

@@ -1,5 +1,6 @@
 """Finite-window primitives on Z^d: rectangles, cell sets, dilation,
-perimeters and the isoperimetric bound, and the merged binary rectangle tree.
+perimeters and the isoperimetric bound, and the node boxes of the merged
+binary rectangle tree, computed for many cubes at once as numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from eqdec.errors import ArgumentError
 __all__ = [
     "Rect",
     "CellSet",
-    "RectTree",
-    "RectTreeNode",
     "perimeter",
     "internal_boundary",
     "isoperimetry_check",
-    "build_rect_tree",
+    "rect_tree_boxes",
     "dilate",
 ]
 
@@ -186,107 +185,49 @@ def isoperimetry_check(X: CellSet):
 # Rectangle tree
 
 
-@dataclass(frozen=True)
-class AxisPartition:
-    """One axis of the merged grid: interval lengths in spatial order plus the
-    logical orientation (reversed means logical index 0 sits at the high end)."""
+def rect_tree_boxes(lows, origins, n_cube: int, n_prev: int, level: int):
+    """Node boxes at one level of the merged rectangle tree of every n_cube-cube.
 
-    lengths: tuple
-    reversed: bool
-    low: int
-
-    def spatial_start(self, spatial_idx: int) -> int:
-        return self.low + int(sum(self.lengths[:spatial_idx]))
-
-    def logical_range_to_span(self, lo: int, hi: int):
-        """Spatial (start, length) of logical interval indices [lo, hi)."""
-        n = len(self.lengths)
-        if self.reversed:
-            s_lo, s_hi = n - hi, n - lo
-        else:
-            s_lo, s_hi = lo, hi
-        start = self.spatial_start(s_lo)
-        length = int(sum(self.lengths[s_lo:s_hi]))
-        return start, length
-
-
-@dataclass(frozen=True)
-class RectTreeNode:
-    level: int
-    index: tuple  # logical digit tuple, one entry in [0, 2^level) per axis
-    rect: Rect
-    special: bool
-
-
-@dataclass(frozen=True)
-class RectTree:
-    root: Rect
-    h: int
-    axes: tuple  # AxisPartition per axis
-    nodes: tuple  # RectTreeNode, levels 0..h, lexicographic within level
-
-    def level_nodes(self, level: int):
-        return [n for n in self.nodes if n.level == level]
-
-    def basic_rects(self):
-        return [n.rect for n in self.nodes if n.level == self.h]
-
-
-def _axis_partition(low: int, side: int, origin: int, n_prev: int) -> AxisPartition:
-    """Split [low, low+side) by the grid {origin + k*n_prev}, then merge the
-    short end interval so exactly side/n_prev intervals remain."""
-    first = (origin - low) % n_prev
-    if first == 0:
-        lengths = [n_prev] * (side // n_prev)
-        return AxisPartition(tuple(lengths), False, low)
-    lengths = [first] + [n_prev] * ((side - first) // n_prev)
-    rem = side - sum(lengths)
-    if rem:
-        lengths.append(rem)
-    # The two partial end intervals sum to n_prev. The shorter one is merged
-    # into its neighbour; when that is the leading interval, the logical index
-    # runs backwards so that the merged interval still carries the last index
-    # (ties keep the forward orientation). Spatial positions never move.
-    rev = lengths[-1] > lengths[0]
-    if rev:
-        lengths[1] += lengths[0]
-        lengths.pop(0)
-    else:
-        lengths[-2] += lengths[-1]
-        lengths.pop()
-    return AxisPartition(tuple(lengths), rev, low)
-
-
-def build_rect_tree(root: Rect, fine_grid_origin: Sequence[int], n_prev: int) -> RectTree:
-    """Organize the inherited n_prev-grid inside an N-cube into the level
-    hierarchy of merged rectangles, levels 0 (the cube) through h (basic).
+    Cube i has low corner ``lows[i]`` and inherits the grid {origins[i] + k
+    n_prev}. Per axis, the grid splits the cube into n_cube/n_prev + 1
+    intervals (n_cube/n_prev when aligned); the two partial end intervals sum
+    to n_prev, and the shorter one is merged into its neighbour. When that is
+    the leading interval, the logical index runs backwards, so the merged
+    interval still carries the last index (ties keep the forward
+    orientation). A node at ``level`` spans 2^(h - level) consecutive logical
+    intervals per axis, h = log2(n_cube / n_prev); level h holds the basic
+    rectangles, level 0 the cube. Returns absolute (low, sides) arrays of
+    shape (n * 2^(level d), d), cube by cube, row-major in the logical node
+    index within a cube.
     """
-    sides = set(root.sides)
-    if len(sides) != 1:
-        raise ArgumentError("root must be a cube")
-    n_cube = root.sides[0]
-    if n_cube & (n_cube - 1) or n_prev & (n_prev - 1):
-        raise ArgumentError("cube and grid sizes must be powers of 2")
-    if not 1 <= n_prev < n_cube:
-        raise ArgumentError("need n_prev < cube side")
-    h = (n_cube // n_prev).bit_length() - 1
-    origin = tuple(int(x) for x in fine_grid_origin)
-    if len(origin) != root.d:
-        raise ArgumentError("fine_grid_origin length mismatch")
-    axes = tuple(
-        _axis_partition(root.low[j], n_cube, origin[j], n_prev) for j in range(root.d)
+    lows = np.asarray(lows, dtype=np.int64)
+    origins = np.asarray(origins, dtype=np.int64)
+    if n_cube & (n_cube - 1) or n_prev & (n_prev - 1) or not 1 <= n_prev < n_cube:
+        raise ArgumentError("need powers of two n_prev < n_cube")
+    k = int(n_cube) // int(n_prev)  # logical intervals per axis
+    if not 0 <= level <= k.bit_length() - 1:
+        raise ArgumentError("level outside the tree")
+    if lows.ndim != 2 or lows.shape != origins.shape:
+        raise ArgumentError("lows and origins must be equal (n, d) arrays")
+    n, d = lows.shape
+    first = (origins - lows) % n_prev  # length of the leading partial interval
+    short_lead = 2 * first < n_prev
+    # interval boundaries in spatial order, relative to the cube: 0, the
+    # first grid line kept, every n_prev after it, n_cube
+    bounds = np.where(short_lead, first + n_prev, first)[..., None] + n_prev * (
+        np.arange(k + 1) - 1
     )
-    nodes = []
-    for level in range(h + 1):
-        width = 1 << (h - level)  # logical intervals per node per axis
-        nominal = n_cube >> level
-        for index in np.ndindex(*(1 << level,) * root.d):
-            lows, lens = [], []
-            for j, p in enumerate(index):
-                start, length = axes[j].logical_range_to_span(p * width, (p + 1) * width)
-                lows.append(start)
-                lens.append(length)
-            rect = Rect(tuple(lows), tuple(lens))
-            special = sum(1 for s in rect.sides if s != nominal) >= 2
-            nodes.append(RectTreeNode(level, tuple(int(i) for i in index), rect, special))
-    return RectTree(root=root, h=h, axes=axes, nodes=tuple(nodes))
+    bounds[..., 0], bounds[..., k] = 0, n_cube
+    rev = short_lead & (first > 0)
+    p = np.arange(1 << level)
+    spatial = np.where(rev[..., None], (1 << level) - 1 - p, p)  # (n, d, 2^level)
+    width = k >> level
+    start = np.take_along_axis(bounds, spatial * width, axis=2)
+    stop = np.take_along_axis(bounds, (spatial + 1) * width, axis=2)
+    out_low = np.empty((n,) + (1 << level,) * d + (d,), dtype=np.int64)
+    out_sides = np.empty_like(out_low)
+    for j in range(d):
+        shape = (n,) + tuple(1 << level if a == j else 1 for a in range(d))
+        out_low[..., j] = (lows[:, j, None] + start[:, j]).reshape(shape)
+        out_sides[..., j] = (stop - start)[:, j].reshape(shape)
+    return out_low.reshape(-1, d), out_sides.reshape(-1, d)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from eqdec.errors import ArgumentError
-from eqdec.lattice import CellSet, Rect, build_rect_tree
+from eqdec.lattice import CellSet, Rect, rect_tree_boxes
 from eqdec.matching import (
     Matching,
     _augment_regions,
@@ -127,8 +127,8 @@ def build_schedule(win: CosetWindow, ladder, levels: int | None = None) -> GridS
         raise ArgumentError("ladder must be strictly increasing")
     if levels is None:
         levels = len(ladder) - 1
-    if levels >= len(ladder):
-        raise ArgumentError("levels exceeds ladder length")
+    if not 0 <= levels < len(ladder):
+        raise ArgumentError("levels must be non-negative and below the ladder length")
     min_side = min(win.window.sides)
     if ladder[levels] > min_side:
         raise ArgumentError("top cube size exceeds the window")
@@ -269,20 +269,22 @@ def grid_domain(S: CellSet, n_cube: int, voronoi, window: Rect, level: int = 0) 
 # Matching phases
 
 
-def _cube_slices(dom: GridDomain, ci: int, win_rect: Rect):
-    return dom.cube_rect(ci).slices_in(win_rect)
-
-
-def _boxes(rects, window: Rect):
-    """The low corners, in window-array coordinates, and the sides of rects,
-    as two (n, d) arrays."""
-    lows = np.array([r.low for r in rects], dtype=np.int64).reshape(-1, window.d)
-    sides = np.array([r.sides for r in rects], dtype=np.int64).reshape(-1, window.d)
-    return lows - np.array(window.low), sides
+def _paint(shape, lows, sides) -> np.ndarray:
+    """Region-id grid of disjoint boxes, given as (n, d) arrays of low
+    corners (array coordinates) and sides: box i's cells hold i, all others -1."""
+    region = np.full(shape, -1, dtype=np.int32)
+    strides = np.array([int(np.prod(shape[j + 1 :])) for j in range(len(shape))])
+    offsets = np.indices(sides.max(axis=0)).reshape(len(shape), -1)
+    inside = (offsets.T[None] < sides[:, None]).all(axis=2)
+    flat = (lows @ strides)[:, None] + strides @ offsets
+    ids = np.repeat(np.arange(len(lows), dtype=np.int32), inside.sum(axis=1))
+    region.flat[flat[inside]] = ids
+    return region
 
 
 def _cube_boxes(dom: GridDomain, window: Rect):
-    """``_boxes`` of every cube of a domain."""
+    """The low corners, in window-array coordinates, and the sides of every
+    cube of a domain, as two (n, d) arrays."""
     lows = dom.cube_lows - np.array(window.low)
     return lows, np.full_like(lows, dom.n_cube)
 
@@ -291,7 +293,7 @@ def _match_regions(win: CosetWindow, m: Matching, region, lows, sides):
     """Canonical maximum matching inside every region of a region-id grid.
 
     ``region`` holds each cell's region id, a row of the (n, d) box arrays
-    ``lows`` and ``sides`` (``_boxes``), or -1 outside every region. One
+    ``lows`` and ``sides`` (array coordinates), or -1 outside every region. One
     batched greedy pass, then batched augmentation to maximum in every region
     that still has a free A-cell and a free B-cell. Regions are disjoint, so
     each ends as if it had been matched alone.
@@ -352,29 +354,13 @@ def rematch_dirty_cubes(m2: Matching, dom: GridDomain, prev: GridDomain, win: Co
     dirty = _dirty_cubes(dom, prev)
     if len(dirty) == 0:
         return out, dirty
-    for ci in dirty:
-        sl = _cube_slices(dom, int(ci), win.window)
-        out.a_match[sl] = -1
-        out.b_match[sl] = -1
     lookup = np.zeros(len(dom.cube_lows), dtype=bool)
     lookup[dirty] = True
-    region = np.full(dom.cube_id.shape, -1, dtype=np.int32)
-    valid = dom.cube_id >= 0
-    region[valid] = np.where(lookup[dom.cube_id[valid]], dom.cube_id[valid], -1)
+    region = np.where(lookup[dom.cube_id] & (dom.cube_id >= 0), dom.cube_id, -1)
+    out.a_match[region >= 0] = -1
+    out.b_match[region >= 0] = -1
     _match_regions(win, out, region, *_cube_boxes(dom, win.window))
     return out, dirty
-
-
-def _cube_tree(dom: GridDomain, ci: int, prev: GridDomain, win: CosetWindow):
-    """The inherited-grid tree of a clean cube (raises on dirty cubes)."""
-    cube = dom.cube_rect(ci)
-    sl = cube.slices_in(win.window)
-    prev_ids = prev.cube_id[sl]
-    owners = prev.owner[sl]
-    if (prev_ids < 0).any() or int(owners.min()) != int(owners.max()):
-        raise ArgumentError("refine requires a clean cube")
-    seed = prev.seeds[int(owners.flat[0])]
-    return build_rect_tree(cube, tuple(int(x) for x in seed), prev.n_cube)
 
 
 def _refine_all(
@@ -383,39 +369,41 @@ def _refine_all(
     """Align each clean cube's matching with the inherited finer grid, then
     make it maximum by bounded-length augmentation, level by level.
 
-    Mutates ``m3`` in place (the clean cubes' slices only); raises on a dirty
-    cube. Basic rectangles that are not cubes of the previous domain get fresh
-    canonical matchings first, all in one batch. Then each tree level, fine
-    to coarse, is one batch of length-capped augmentation over its nodes in
-    every clean cube: all trees share the height log2(N / n_prev), so a
-    level's nodes share one cap. Cubes are disjoint, so batching across them
-    leaves each cube as if it had been refined alone.
+    Mutates ``m3`` in place (the clean cubes' cells only); raises on a dirty
+    cube. A clean cube lies inside one previous Voronoi cell, so it inherits
+    that seed's n_prev-grid; ``rect_tree_boxes`` gives each tree level's
+    node boxes for all clean cubes at once. Basic rectangles that are not
+    cubes of the previous domain get fresh canonical matchings first, all in
+    one batch. Then each tree level, fine to coarse, is one batch of
+    length-capped augmentation over its nodes in every clean cube: all trees
+    share the height log2(N / n_prev), so a level's nodes share one cap.
+    Cubes are disjoint, so batching across them leaves each cube as if it
+    had been refined alone.
     """
+    clean_ids = np.asarray(clean_ids, dtype=np.int64)
+    if np.isin(clean_ids, _dirty_cubes(dom, prev)).any():
+        raise ArgumentError("refine requires a clean cube")
     n_prev = prev.n_cube
-    trees = []
-    fresh = []
-    for ci in clean_ids:
-        tree = _cube_tree(dom, ci, prev, win)
-        trees.append(tree)
-        for node in tree.level_nodes(tree.h):
-            if all(s == n_prev for s in node.rect.sides):
-                continue
-            fresh.append(node.rect)
-            wsl = node.rect.slices_in(win.window)
-            m3.a_match[wsl] = -1
-            m3.b_match[wsl] = -1
-    if fresh:
-        region = np.full(win.window.sides, -1, dtype=np.int32)
-        for rid, rect in enumerate(fresh):
-            region[rect.slices_in(win.window)] = rid
-        _match_regions(win, m3, region, *_boxes(fresh, win.window))
+    win_low = np.array(win.window.low)
+    lows = dom.cube_lows[clean_ids]
+    origins = prev.seeds[prev.owner[tuple((lows - win_low).T)]]
     h = (dom.n_cube // n_prev).bit_length() - 1
+
+    def boxes(level):
+        node_lows, sides = rect_tree_boxes(lows, origins, dom.n_cube, n_prev, level)
+        return node_lows - win_low, sides
+
+    basic_lows, basic_sides = boxes(h)
+    fresh = (basic_sides != n_prev).any(axis=1)
+    if fresh.any():
+        region = _paint(win.window.sides, basic_lows[fresh], basic_sides[fresh])
+        m3.a_match[region >= 0] = -1
+        m3.b_match[region >= 0] = -1
+        _match_regions(win, m3, region, basic_lows[fresh], basic_sides[fresh])
     for level in range(h, 0, -1):
         cap = (1 << (h - level + 1)) * n_prev + n_prev // 2
-        nodes = [node.rect for tree in trees for node in tree.level_nodes(level - 1)]
-        lows, sides = _boxes(nodes, win.window)
         _augment_regions(
-            win.a_bits.bits, win.b_bits.bits, m3.a_match, m3.b_match, m3.m_cap, lows, sides, cap
+            win.a_bits.bits, win.b_bits.bits, m3.a_match, m3.b_match, m3.m_cap, *boxes(level - 1), cap
         )
 
 
@@ -471,7 +459,7 @@ def _edges_in_cubes(m: Matching, dom: GridDomain) -> bool:
 def _no_short_augmenting_path(win: CosetWindow, dom: GridDomain, m: Matching) -> bool:
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
     for ci in range(len(dom.cube_lows)):
-        sl = _cube_slices(dom, ci, win.window)
+        sl = dom.cube_rect(ci).slices_in(win.window)
         bfs = _layered_bfs(
             a_bits[sl],
             b_bits[sl],
@@ -533,8 +521,7 @@ def run_pipeline(
         changed_rematch = int((m2.a_match != m3.a_match).sum())
 
         snap3 = m3.a_match.copy()
-        dirty_set = set(dirty.tolist())
-        clean_ids = [ci for ci in range(len(dom.cube_lows)) if ci not in dirty_set]
+        clean_ids = np.setdiff1d(np.arange(len(dom.cube_lows)), dirty)
         _refine_all(m3, dom, prev_dom, win, clean_ids)
         changed_refine = int((snap3 != m3.a_match).sum())
 

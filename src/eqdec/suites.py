@@ -186,13 +186,12 @@ def suite_short_augmenting(seed: int, trials: int = 1000):
 
 def _edges(a_bits, b_bits, offsets):
     """Every (A-cell, B-cell) translation edge inside the grid, row-major."""
-    edges = []
-    for cell in np.argwhere(a_bits):
-        for off in offsets:
-            nb = tuple(int(c + o) for c, o in zip(cell, off))
-            if all(0 <= p < s for p, s in zip(nb, a_bits.shape)) and b_bits[nb]:
-                edges.append((tuple(int(c) for c in cell), nb))
-    return edges
+    cells = np.argwhere(a_bits)[:, None, :]
+    nbs = cells + np.asarray(offsets)[None]
+    keep = ((nbs >= 0) & (nbs < a_bits.shape)).all(axis=2)
+    keep[keep] = b_bits[tuple(nbs[keep].T)]
+    pairs = np.concatenate([np.broadcast_to(cells, nbs.shape), nbs], axis=2)[keep].tolist()
+    return [(tuple(p[: a_bits.ndim]), tuple(p[a_bits.ndim :])) for p in pairs]
 
 
 def _enumerate_feasible(edges, req_a, req_b):
@@ -247,6 +246,9 @@ def suite_extendable(seed: int, trials: int = 1000):
     Each trial draws a sparse 7x7 window, an A-cell x at its centre and a
     B-neighbour y; (x, y) extends the empty matching on the horizon-2 ball
     around x exactly when the other edges can cover every other ball cell.
+    Draws are redrawn until the enumerated verdict is the trial's target,
+    True and False in turn, so half the trials test an acceptance (unforced,
+    about one draw in eleven is extendable).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
     m_cap, horizon = 1, 2
@@ -268,10 +270,7 @@ def suite_extendable(seed: int, trials: int = 1000):
         ys = [q for p, q in edges if p == x]
         if not ys:
             continue
-        done += 1
         y = ys[int(rng.integers(0, len(ys)))]
-        win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
-        got = extendable_oracle(Matching(R, m_cap), win, x, y, horizon)
         req_a, req_b = a_bits & ball, b_bits & ball
         req_a[x] = req_b[y] = False
         want = _enumerate_feasible(
@@ -279,6 +278,11 @@ def suite_extendable(seed: int, trials: int = 1000):
             [tuple(int(c) for c in p) for p in np.argwhere(req_a)],
             [tuple(int(c) for c in q) for q in np.argwhere(req_b)],
         )
+        if want != (done % 2 == 0):
+            continue
+        done += 1
+        win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
+        got = extendable_oracle(Matching(R, m_cap), win, x, y, horizon)
         bad += got != want
     return bad == 0, {"disagreements": bad}
 

@@ -98,7 +98,7 @@ def test_extendable_suite_catches_a_constant_oracle(monkeypatch, verdict):
     # the suite must fail when every candidate check gives the same answer
     monkeypatch.setattr(_OracleContext, "check", lambda self, partner: verdict)
     ok, details = suite_extendable(17, trials=300)
-    assert not ok and details["disagreements"] > 20
+    assert not ok and details["disagreements"] >= 0.4 * 300
 
 
 def test_oracle_monotone_in_horizon():

@@ -80,6 +80,8 @@ MALFORMED_CONFIGS = {
     "shape-key": ("audit", '{"shape_a": {"type": "disk"}}'),
     "ladder-string": ("audit", '{"ladder": "8"}'),
     "radii-empty": ("baire", '{"radii": []}'),
+    "radii-zero": ("baire", '{"window": 256, "radii": [0, 8]}'),
+    "levels-negative": ("square", '{"window": 256, "ladder": [4, 8, 16], "levels": -1}'),
 }
 
 

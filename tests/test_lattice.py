@@ -5,10 +5,10 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import (
     CellSet,
     Rect,
-    build_rect_tree,
     internal_boundary,
     isoperimetry_check,
     perimeter,
+    rect_tree_boxes,
 )
 
 
@@ -79,60 +79,80 @@ def test_isoperimetry_empty_raises():
         isoperimetry_check(CellSet.empty(Rect((0, 0), (3, 3))))
 
 
+def _tree_cases(rng, count, spread):
+    """Random one-cube trees: d in 1..3, n_prev 2..8, height 1..3."""
+    for _ in range(count):
+        d = int(rng.integers(1, 4))
+        n_prev = 2 ** int(rng.integers(1, 4))
+        h = int(rng.integers(1, 4))
+        low = rng.integers(-spread, spread, (1, d))
+        origin = rng.integers(-spread, spread, (1, d))
+        yield d, n_prev, h, n_prev << h, low, origin
+
+
 def test_rect_tree_aligned_grid():
-    tree = build_rect_tree(Rect((0, 0), (16, 16)), (0, 0), 4)
-    assert tree.h == 2
-    assert all(not n.special for n in tree.nodes)
-    for node in tree.nodes:
-        assert all(s == 16 >> node.level for s in node.rect.sides)
-    basics = tree.basic_rects()
-    assert sum(b.volume() for b in basics) == 256
+    for level in range(3):
+        lows, sides = rect_tree_boxes([(0, 0)], [(0, 0)], 16, 4, level)
+        assert len(lows) == 4**level
+        assert (sides == 16 >> level).all()
+    assert (sides.prod(axis=1)).sum() == 256
 
 
 def test_rect_tree_merge_example():
-    tree = build_rect_tree(Rect((0, 0), (8, 8)), (1, 1), 2)
-    assert tree.axes[0].lengths == (1, 2, 2, 3)
-    assert tree.axes[1].lengths == (1, 2, 2, 3)
-    sides = sorted({s for n in tree.level_nodes(tree.h) for s in n.rect.sides})
-    assert sides == [1, 2, 3]
+    lows, sides = rect_tree_boxes([(0, 0)], [(1, 1)], 8, 2, 2)
+    # basic intervals along each axis, spatial order: the tie keeps the
+    # forward orientation and merges the trailing partial interval
+    assert tuple(sides[::4, 0]) == (1, 2, 2, 3)
+    assert tuple(sides[:4, 1]) == (1, 2, 2, 3)
+    assert sorted(set(sides.ravel().tolist())) == [1, 2, 3]
+
+
+def test_rect_tree_reversed_orientation_example():
+    # origin 1 leaves a leading partial interval of 1 and a trailing one of 3:
+    # the leading one is merged and the logical index runs from the high end
+    for level, spans in ((1, [(9, 7), (0, 9)]), (2, [(13, 3), (9, 4), (5, 4), (0, 5)])):
+        lows, sides = rect_tree_boxes([(0,)], [(1,)], 16, 4, level)
+        assert list(zip(lows[:, 0].tolist(), sides[:, 0].tolist())) == spans
+    # row-major in the logical index: the reversed axis 0 varies slowest
+    lows, sides = rect_tree_boxes([(0, 0)], [(1, 0)], 16, 4, 1)
+    assert lows.tolist() == [[9, 0], [9, 8], [0, 0], [0, 8]]
+    assert sides.tolist() == [[7, 8], [7, 8], [9, 8], [9, 8]]
 
 
 def test_rect_tree_side_bounds_random_offsets():
     rng = np.random.default_rng(17)
-    for _ in range(1000):
-        h = int(rng.integers(1, 4))
-        n_prev = 2 ** int(rng.integers(1, 4))
-        side = n_prev << h
-        low = tuple(int(x) for x in rng.integers(-40, 40, 2))
-        origin = tuple(int(x) for x in rng.integers(-40, 40, 2))
-        tree = build_rect_tree(Rect(low, (side, side)), origin, n_prev)
-        assert sum(r.volume() for r in tree.basic_rects()) == side * side
-        for node in tree.nodes:
-            lo = (1 << (tree.h - node.level)) * n_prev - n_prev // 2
-            hi = (1 << (tree.h - node.level)) * n_prev + n_prev // 2
-            for s in node.rect.sides:
-                assert lo <= s <= hi
-            assert node.rect.balance() <= 3
+    for d, n_prev, h, side, low, origin in _tree_cases(rng, 600, 40):
+        lows, sides = rect_tree_boxes(low, origin, side, n_prev, h)
+        # the basic boxes tile the cube exactly once
+        cover = np.zeros((side,) * d, dtype=int)
+        for lo, si in zip(lows - low, sides):
+            cover[tuple(slice(a, a + s) for a, s in zip(lo, si))] += 1
+        assert (cover == 1).all()
+        for level in range(h + 1):
+            lows, sides = rect_tree_boxes(low, origin, side, n_prev, level)
+            assert len(lows) == 2 ** (level * d)
+            width = (1 << (h - level)) * n_prev
+            assert (sides >= width - n_prev // 2).all() and (sides <= width + n_prev // 2).all()
+            assert (sides.max(axis=1) <= 3 * sides.min(axis=1)).all()
 
 
 def test_rect_tree_basics_follow_inherited_grid():
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        n_prev = 2 ** int(rng.integers(1, 4))
-        h = int(rng.integers(1, 4))
-        side = n_prev << h
-        low = tuple(int(x) for x in rng.integers(-30, 30, 2))
-        origin = tuple(int(x) for x in rng.integers(-30, 30, 2))
-        tree = build_rect_tree(Rect(low, (side, side)), origin, n_prev)
-        for ax in range(2):
-            pos = low[ax]
-            for L in tree.axes[ax].lengths[:-1]:
-                pos += L
-                assert (pos - origin[ax]) % n_prev == 0
+    for d, n_prev, h, side, low, origin in _tree_cases(rng, 300, 30):
+        lows, sides = rect_tree_boxes(low, origin, side, n_prev, h)
+        for edge in (lows, lows + sides):
+            inner = (edge != low) & (edge != low + side)
+            assert ((edge - origin)[inner] % n_prev == 0).all()
 
 
 def test_rect_tree_validation():
     with pytest.raises(ArgumentError):
-        build_rect_tree(Rect((0, 0), (12, 12)), (0, 0), 4)
+        rect_tree_boxes([(0, 0)], [(0, 0)], 12, 4, 1)  # cube side not a power of two
     with pytest.raises(ArgumentError):
-        build_rect_tree(Rect((0, 0), (8, 16)), (0, 0), 4)
+        rect_tree_boxes([(0, 0)], [(0, 0)], 16, 3, 1)  # grid not a power of two
+    with pytest.raises(ArgumentError):
+        rect_tree_boxes([(0, 0)], [(0, 0)], 8, 8, 0)  # no finer grid
+    with pytest.raises(ArgumentError):
+        rect_tree_boxes([(0, 0)], [(0, 0)], 16, 4, 3)  # below the basic level
+    with pytest.raises(ArgumentError):
+        rect_tree_boxes([(0, 0)], [(0, 0, 0)], 16, 4, 1)  # origin of another dimension

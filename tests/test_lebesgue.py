@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from eqdec import lebesgue, matching
+from eqdec import lattice, lebesgue, matching
 from eqdec.cli import _setup
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
@@ -192,6 +192,24 @@ def test_square_pipeline_never_runs_the_ladder(monkeypatch, ladder):
     run_pipeline(win, build_schedule(win, ladder, 1), 1)
 
 
+@pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
+def test_square_pipeline_builds_no_per_cube_rects(monkeypatch, ladder):
+    # the refine and rematch passes work on box arrays; a Rect per cube or per
+    # tree node (1,409 and 7,175 of them on these runs before) must not return
+    win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 256})
+    schedule = build_schedule(win, ladder, 1)
+    built = []
+    post_init = lattice.Rect.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(lattice.Rect, "__post_init__", counting)
+    run_pipeline(win, schedule, 1)
+    assert len(built) <= 8
+
+
 def test_init_m0_edges_inside_cubes_and_oracle_size():
     win = _window(64)
     sched = build_schedule(win, (8, 32), levels=0)
@@ -286,6 +304,18 @@ def test_refine_single_flip_instance():
     assert m3.partner_of((1, 3)) == (1, 5)
 
 
+def test_refine_without_clean_cubes_changes_nothing():
+    win = _window(128)
+    sched = build_schedule(win, (4, 16, 32), levels=1)
+    dom0 = grid_domain(sched.seeds[0], 4, integer_voronoi(sched.seeds[0], win.window), win.window, 0)
+    dom1 = grid_domain(sched.seeds[1], 16, integer_voronoi(sched.seeds[1], win.window), win.window, 1)
+    m3, _ = rematch_dirty_cubes(prune_cross_cube(init_m0(win, dom0), dom1), dom1, dom0, win)
+    before = m3.copy()
+    _refine_all(m3, dom1, dom0, win, [])  # every cube counted dirty
+    assert np.array_equal(m3.a_match, before.a_match)
+    assert np.array_equal(m3.b_match, before.b_match)
+
+
 def test_refine_requires_clean_cube():
     win = _window(64)
     # a level-0 net of sparsity 32 gives several level-0 cells, so dirty cubes
@@ -347,6 +377,8 @@ def test_build_schedule_validation():
         build_schedule(win, (32, 8), levels=1)  # not increasing
     with pytest.raises(ArgumentError):
         build_schedule(win, (8, 128), levels=1)  # top cube exceeds window
+    with pytest.raises(ArgumentError):
+        build_schedule(win, (8, 32), levels=-1)
     sched = build_schedule(win, (4, 8, 32, 128), levels=1)
     assert sched.seed_radii == (32, None)
     assert sched.summability["partials"]
