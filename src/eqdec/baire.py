@@ -19,11 +19,9 @@ from eqdec.lattice import CellSet, Rect
 from eqdec.matching import (
     Matching,
     _forest_sweep,
-    _tiles,
     cover_side,
     hall_deficiency,
     hierarchy_augment,
-    ladder_max_matching,
 )
 from eqdec.torus import offsets_row_major, torus_delta
 from eqdec.window import CosetWindow, SparseColoring, _min_translation_distance
@@ -37,16 +35,6 @@ __all__ = [
     "BaireResult",
     "BaireLevelReport",
 ]
-
-# Side of the aligned cubes that bound the warm start's matching: no edge of
-# it and no augmenting sweep behind it reaches past one tile. The cap cannot
-# change the output, since cover_side's verdict does not depend on its warm
-# seed; it only trims the window-wide sweeps that each flip a path or two.
-# Swept with the forest sweeps in place, at ladder bases 32 to 256: 256 was
-# the fastest of 128, 256 and 512 on the deep benchmark Baire workload and
-# the 1536² acceptance run; 128 was faster on the shallow workload only.
-WARM_TILE = 256
-
 
 @dataclass(frozen=True)
 class SparseNetLadder:
@@ -146,17 +134,16 @@ class _Covering:
     """One-sided coverage state: required left cells matched into right cells.
 
     Each question below works on copies of the two match grids and costs at
-    most one single-root forest sweep (full cover) or one ``hierarchy_augment``
-    of the copy (deficient cover).
+    most one single-root forest sweep (full cover), or forest sweeps over the
+    whole region until one flips nothing (``hierarchy_augment``, deficient
+    cover).
     """
 
-    def __init__(self, left_req, right_avail, m_cap, warm=None):
+    def __init__(self, left_req, right_avail, m_cap):
         self.left_req = left_req
         self.right_avail = right_avail
         self.m_cap = m_cap
-        self.ok, self.lmatch, self.rmatch, _ = cover_side(
-            left_req, right_avail, m_cap, warm=warm
-        )
+        self.ok, self.lmatch, self.rmatch, _ = cover_side(left_req, right_avail, m_cap)
 
     def feasible_without_right(self, cell, offsets) -> bool:
         """Feasibility after removing one right-side cell: with a full cover, one
@@ -196,21 +183,10 @@ class _OracleContext:
 
     A candidate check then costs one single-root forest sweep on copies of
     the net cell's side covering, and nothing on the other side while its
-    covering is full, instead of two full coverage matchings. ``warm_global``
-    optionally seeds both coverings from a matching of the free cells (the
-    tile-wise one of ``_GlobalCover``); any seed gives the same verdicts,
-    because cover_side's verdict does not depend on it.
+    covering is full, instead of two full coverage matchings.
     """
 
-    def __init__(
-        self,
-        m: Matching,
-        win: CosetWindow,
-        anchor,
-        anchor_side: str,
-        horizon: int,
-        warm_global=None,
-    ):
+    def __init__(self, m: Matching, win: CosetWindow, anchor, anchor_side: str, horizon: int):
         m_cap = win.sys.m_cap
         self.anchor_side = anchor_side
         reach = horizon + m_cap
@@ -232,40 +208,8 @@ class _OracleContext:
         self.a_in, self.b_in = a_in, b_in
         self.offsets = offsets_row_major(m_cap, win.d)
         req_a, req_b = a_in & ball, b_in & ball
-        warm_a = warm_b = None
-        if warm_global is not None:
-            warm_a = self._warm(warm_global, sl, req_a, b_in, flip=False)
-            warm_b = self._warm(warm_global, sl, req_b, a_in, flip=True)
-        self.cover_a = _Covering(req_a, b_in, m_cap, warm=warm_a)  # required A into B
-        self.cover_b = _Covering(req_b, a_in, m_cap, warm=warm_b)  # required B into A
-
-    def _warm(self, warm_global, sl, left_req, right_avail, flip: bool):
-        """Local covering seeded from the free-cell matching ``warm_global``.
-
-        Keeps only edges at required left cells whose partner is available in
-        the region; ``flip`` reads the global matching from the B side (left
-        vertices are then B-cells and stored offsets reverse sign).
-        """
-        gam, gbm = warm_global
-        src = (gbm if flip else gam)[sl]
-        lm = np.full(src.shape, -1, dtype=np.int32)
-        rm = np.full(src.shape, -1, dtype=np.int32)
-        lcells = np.argwhere(left_req & (src >= 0))
-        if len(lcells) == 0:
-            return lm, rm
-        ks = src[tuple(lcells.T)]
-        k_count = len(self.offsets)
-        ks_local = (k_count - 1 - ks) if flip else ks
-        partners = lcells + self.offsets[ks_local]
-        inside = np.all(partners >= 0, axis=1) & np.all(
-            partners < np.array(src.shape), axis=1
-        )
-        lcells, partners, ks_local = lcells[inside], partners[inside], ks_local[inside]
-        avail = right_avail[tuple(partners.T)]
-        lcells, partners, ks_local = lcells[avail], partners[avail], ks_local[avail]
-        lm[tuple(lcells.T)] = ks_local
-        rm[tuple(partners.T)] = ks_local
-        return lm, rm
+        self.cover_a = _Covering(req_a, b_in, m_cap)  # required A into B
+        self.cover_b = _Covering(req_b, a_in, m_cap)  # required B into A
 
     def check(self, partner) -> bool:
         """Partner is a B-cell for an A anchor and vice versa."""
@@ -281,40 +225,13 @@ class _OracleContext:
 
 
 class _GlobalCover:
-    """Tile-wise maximum matching of the cells still free under the current
-    sparse matching: maximum inside each aligned ``WARM_TILE`` cube, with no
-    edge between cubes. Shared warm start for every oracle context of a
-    level."""
-
-    def __init__(self, win: CosetWindow):
-        self.win = win
-        self.gam = np.full(win.window.sides, -1, dtype=np.int32)
-        self.gbm = np.full(win.window.sides, -1, dtype=np.int32)
-        self.offsets = offsets_row_major(win.sys.m_cap, win.d)
-        self.built = False
+    """Stub with no run path: the benchmark tracer (``perfbench/layertrace.py``)
+    still lists ``_GlobalCover.refresh``, the window-wide warm start that the
+    Baire covers no longer take, by name. It goes when the tracer moves to
+    span names (ROADMAP.md, item 1)."""
 
     def refresh(self, m: Matching):
-        m_cap = self.win.sys.m_cap
-        free_a = self.win.a_bits.bits & (m.a_match < 0)
-        free_b = self.win.b_bits.bits & (m.b_match < 0)
-        # drop stored edges touching cells no longer free
-        stale_a = np.argwhere((self.gam >= 0) & ~free_a)
-        if len(stale_a):
-            ks = self.gam[tuple(stale_a.T)]
-            partners = stale_a + self.offsets[ks]
-            self.gbm[tuple(partners.T)] = -1
-            self.gam[tuple(stale_a.T)] = -1
-        stale_b = np.argwhere((self.gbm >= 0) & ~free_b)
-        if len(stale_b):
-            ks = self.gbm[tuple(stale_b.T)]
-            sources = stale_b - self.offsets[ks]
-            self.gam[tuple(sources.T)] = -1
-            self.gbm[tuple(stale_b.T)] = -1
-        complete = hierarchy_augment if self.built else ladder_max_matching
-        for sl in _tiles(free_a.shape, WARM_TILE):
-            complete(free_a[sl], free_b[sl], self.gam[sl], self.gbm[sl], m_cap)
-        self.built = True
-        return self.gam, self.gbm
+        raise NotImplementedError("_GlobalCover is a stub with no run path")
 
 
 def _orient(win: CosetWindow, x, y):
@@ -386,7 +303,6 @@ def greedy_step(
     coloring: SparseColoring,
     horizon: int,
     win: CosetWindow,
-    warm_global=None,
 ):
     """Match every unmatched net cell of the level, minimizing the partner's
     (coloring class, row-major) key among oracle-approved candidates.
@@ -431,7 +347,7 @@ def greedy_step(
                 continue
             cands.append(partner)
         cands.sort(key=lambda c: (color_key(c), c))
-        ctx = _OracleContext(m_prev, win, cell, side, horizon, warm_global=warm_global)
+        ctx = _OracleContext(m_prev, win, cell, side, horizon)
         for partner in cands:
             if ctx.check(partner):
                 a_c = cell if side == "A" else partner
@@ -517,12 +433,8 @@ def run_baire(
     core = win.core_rect(margin)
     csl = core.slices_in(win.window)
     reports = []
-    global_cover = _GlobalCover(win)
     for level in range(1, len(radii) + 1):
-        warm = global_cover.refresh(m)
-        m, rep = greedy_step(
-            m, level, ladder, coloring, horizons[level - 1], win, warm_global=warm
-        )
+        m, rep = greedy_step(m, level, ladder, coloring, horizons[level - 1], win)
         req_a = (m.a_match >= 0) & win.a_bits.bits
         req_b = (m.b_match >= 0) & win.b_bits.bits
         for lv in range(level):

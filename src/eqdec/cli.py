@@ -261,6 +261,13 @@ def cmd_baire(args) -> int:
     (out / "baire_reports.json").write_text(json.dumps(reports, indent=2, sort_keys=True))
     print(f"baire run done: {sum(r.added for r in res.reports)} net edges added")
     print(f"wrote {out}/baire.eqdc and {out}/baire_reports.json")
+    # the files are written either way, so that a failed level can be inspected
+    for rep in res.reports:
+        checks = {"Hall audit": rep.hall_ok, "sparsity check": rep.sparsity_ok}
+        failed = " and ".join(name for name, ok in checks.items() if not ok)
+        if failed:
+            print(f"assertion failure: level {rep.level}: {failed} failed", file=_sys.stderr)
+            return 1
     return 0
 
 

@@ -8,10 +8,12 @@ a consistently maintained inverse map. The engine answers three questions:
   then shortest-path phases (row-major tie-breaks) until none flips give the
   canonical one, a pure function of the window content, so translating the
   content translates the matching. ``ladder_max_matching`` reaches some
-  maximum matching faster: nearest-first greedy offsets leave fewer
-  augmenting paths, and its forest sweeps (``_forest_sweep``) flip up to one
-  path per free A-cell whatever its length. Only the Baire side calls it,
-  whose checks read a verdict that every maximum matching gives alike;
+  maximum matching faster: a nearest-first greedy pass over the whole region
+  leaves fewer augmenting paths, and ``hierarchy_augment`` then runs forest
+  sweeps (``_forest_sweep``) over the whole region until one flips nothing;
+  each sweep flips up to one path per free A-cell whatever its length. Only
+  the Baire side calls them, whose checks read a verdict that every maximum
+  matching gives alike;
 - can one side be covered into the other, with a Hall-deficient witness
   when not: ``cover_side``, which ``hall_deficiency`` runs for both sides;
 - length-capped augmentation: a phase flips vertex-disjoint shortest
@@ -64,11 +66,6 @@ PACK_CELLS = 1 << 17
 # Extra rows, past 2M, between two frontier cells at which the layered BFS
 # splits its A -> B step into separate bounding boxes (``_row_bands``).
 BAND_GAP = 64
-
-# Cube side of the ladder's greedy pass and first scale of hierarchy_augment,
-# before rounding up past 2M. 128 was the fastest of 32, 64, 128 and 256 on
-# the deep benchmark Baire workload at every warm-start tile side.
-LADDER_BASE = 128
 
 
 @functools.lru_cache(maxsize=64)
@@ -592,89 +589,34 @@ def _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):
     return flips
 
 
-def _tiles(shape, s: int):
-    """Slices of the corner-aligned s-cube tiling of an array, row-major."""
-    counts = [max(1, -(-n // s)) for n in shape]
-    for corner in np.ndindex(*counts):
-        yield tuple(slice(c * s, min((c + 1) * s, n)) for c, n in zip(corner, shape))
-
-
-def aligned_cube_ids(shape, s: int) -> np.ndarray:
-    """Row-major ids of the corner-aligned s-cube tiling of an array."""
-    ids = None
-    counts = [-(-n // s) for n in shape]
-    for ax, n in enumerate(shape):
-        line = (np.arange(n) // s).astype(np.int32)
-        sh = [1] * len(shape)
-        sh[ax] = n
-        line = line.reshape(sh)
-        ids = line if ids is None else ids * counts[ax] + line
-    return ids
-
-
-def _ladder_base(m_cap: int) -> int:
-    """Smallest cube side of the ladder: ``LADDER_BASE``, or past 2M."""
-    return 1 << max(LADDER_BASE - 1, 2 * m_cap).bit_length()
-
-
 def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
-    """Fill empty match grids with a maximum matching, built bottom-up.
+    """Fill empty match grids with a maximum matching: a nearest-first
+    ``greedy_offset_pass`` over the whole arrays, then ``hierarchy_augment``.
 
-    Greedy matching confined to base-size cubes, then ``hierarchy_augment``
-    over doubling cube tilings from the same base: imbalances cancel at the
-    smallest scale where they meet, so only the array-wide surplus needs
-    long paths.
-
-    The greedy pass takes offsets nearest-first: a cell paired with its
-    nearest free partner rarely blocks another, whereas the canonical
-    row-major order pairs each A-cell with its far (-M, ..., -M) corner first
-    and leaves many more augmenting paths to walk. Which maximum matching
-    results is free, since every caller reads only a feasibility verdict;
-    the canonical greedy of the square pipeline stays row-major.
+    Nearest-first offsets leave fewer augmenting paths than the canonical
+    row-major order, which pairs each A-cell with its far (-M, ..., -M)
+    corner first. Which maximum matching results is free, since every caller
+    reads only a feasibility verdict; the canonical greedy of the square
+    pipeline stays row-major.
     """
-    region = aligned_cube_ids(a_bits.shape, _ladder_base(m_cap))
     order = _offsets_nearest_first(m_cap, a_bits.ndim)
-    greedy_offset_pass(a_bits, b_bits, a_match, b_match, m_cap, region_id=region, order=order)
+    greedy_offset_pass(a_bits, b_bits, a_match, b_match, m_cap, order=order)
     return hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap)
 
 
 def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap):
-    """Drive a matching to maximum by augmenting inside doubling cube tilings.
-
-    Starts at the ladder's base and doubles the cube side up to the whole
-    array. Inside each cube, ``_forest_sweep`` runs until a sweep flips
-    nothing, so each cube ends maximum and the final whole-array cube
-    certifies maximality: no augmenting path remains. Local imbalances cancel
-    at small scales through short paths, and each sweep flips up to one path
-    per free A-cell, whatever the lengths, where a shortest-path phase would
-    flip only the shortest. Which maximum matching results is not canonical,
-    so only the Baire side, whose callers read a feasibility verdict, calls
-    this.
+    """Drive a matching to maximum: ``_forest_sweep`` over the whole arrays
+    until a sweep flips nothing, which certifies that no augmenting path
+    remains. Returns the paths flipped. Each sweep flips up to one path per
+    free A-cell, whatever its length, so no tiling of the arrays pays. Which
+    maximum matching results is not canonical, so only the Baire side, whose
+    callers read a feasibility verdict, calls this.
     """
-    sides = a_bits.shape
-    s = _ladder_base(m_cap)
-    # one label scratch for every tile and sweep: two tile-sized grids per
-    # sweep left the heap fragmented enough to raise a later peak RSS
-    scratch = np.empty(2 * a_bits.size, dtype=np.int32)
+    labels = np.empty((2,) + a_bits.shape, dtype=np.int32)
     total = 0
-    while True:
-        ua = a_bits & (a_match < 0)
-        ub = b_bits & (b_match < 0)
-        if not ua.any() or not ub.any():
-            return total
-        full = s >= max(sides)
-        for sl in _tiles(sides, s):
-            if not (ua[sl].any() and ub[sl].any()):
-                continue
-            tile = a_bits[sl].shape
-            labels = scratch[: 2 * int(np.prod(tile))].reshape((2,) + tile)
-            while flips := _forest_sweep(
-                a_bits[sl], b_bits[sl], a_match[sl], b_match[sl], m_cap, labels
-            ):
-                total += flips
-        if full:
-            return total
-        s <<= 1
+    while flips := _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):
+        total += flips
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -695,22 +637,17 @@ class HallCertificate:
     neighborhood_size: int
 
 
-def cover_side(a_in, b_in, m_cap, warm=None):
+def cover_side(a_in, b_in, m_cap):
     """Can every true cell of ``a_in`` be matched into ``b_in``?
 
     Returns (ok, a_match, b_match, deficient_mask_or_None). Only the cover
-    side carries vertices on A, so a maximum matching covering them exists
-    exactly when augmentation succeeds from each. ``warm`` optionally seeds
-    the search with a consistent partial covering (pair of match grids, edges
-    at a_in cells only); the verdict does not depend on the seed.
+    side carries vertices on A, so a maximum matching (``ladder_max_matching``)
+    covers them exactly when any matching does; when it does not, the cells
+    its free ones reach by alternating paths form a Hall-deficient witness.
     """
-    if warm is None:
-        a_match = np.full(a_in.shape, -1, dtype=np.int32)
-        b_match = np.full(a_in.shape, -1, dtype=np.int32)
-        ladder_max_matching(a_in, b_in, a_match, b_match, m_cap)
-    else:
-        a_match, b_match = warm
-        hierarchy_augment(a_in, b_in, a_match, b_match, m_cap)
+    a_match = np.full(a_in.shape, -1, dtype=np.int32)
+    b_match = np.full(a_in.shape, -1, dtype=np.int32)
+    ladder_max_matching(a_in, b_in, a_match, b_match, m_cap)
     if not (a_in & (a_match < 0)).any():
         return True, a_match, b_match, None
     offsets = offsets_row_major(m_cap, a_in.ndim)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import eqdec
+from eqdec import baire
 from eqdec.baire import build_nets
 from eqdec.cli import main, sub_seed
 from eqdec.io_render import load_run
+from eqdec.matching import HallCertificate
 
 
 def run_cli(*args):
@@ -201,6 +203,21 @@ def test_baire_cli_small(tmp_path):
         "baire", "--window", 384, "--seed", 5, "--out", out2, "--radii", "8,24"
     ) == 0
     assert (out2 / "baire.eqdc").read_bytes() == (out / "baire.eqdc").read_bytes()
+
+
+def test_baire_failed_hall_audit_exits_1(tmp_path, monkeypatch, capsys):
+    # the run completes and writes its files, but a level whose Hall audit
+    # fails must not pass as a success
+    cert = HallCertificate(side="A", cells=np.zeros((1, 2), dtype=np.int64), neighborhood_size=0)
+    monkeypatch.setattr(baire, "hall_deficiency", lambda *args: cert)
+    capsys.readouterr()
+    code = run_cli("baire", "--window", 384, "--seed", 5, "--out", tmp_path, "--radii", "8,24")
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["assertion failure: level 1: Hall audit failed"]
+    reports = json.loads((tmp_path / "baire_reports.json").read_text())
+    assert [r["hall_ok"] for r in reports] == [False, False]
+    assert (tmp_path / "baire.eqdc").exists()
 
 
 def test_baire_extendability_failure_is_one_line(tmp_path):

@@ -7,7 +7,6 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, dilate
 from eqdec import matching, suites
 from eqdec.matching import (
-    LADDER_BASE,
     Matching,
     _augment_regions,
     _first_true,
@@ -19,6 +18,7 @@ from eqdec.matching import (
     cover_side,
     greedy_offset_pass,
     hall_deficiency,
+    hierarchy_augment,
     ladder_max_matching,
 )
 from eqdec.suites import (
@@ -252,8 +252,6 @@ def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
     rng = np.random.default_rng(29)
     shape = (137, 261)
     for m_cap in (1, 2, 3):
-        # the ladder's base is LADDER_BASE, so at least two scales run
-        assert 2 * m_cap < LADDER_BASE < max(shape)
         for _ in range(3):
             a = rng.random(shape) < rng.uniform(0.2, 0.6)
             b = rng.random(shape) < rng.uniform(0.2, 0.6)
@@ -263,20 +261,39 @@ def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
             m = Matching(Rect((0, 0), shape), m_cap, am, bm)
             m.validate(a, b)
             assert m.size() == scipy_max_matching_size(a, b, m_cap)
-            # a required subset of A, covered into B: cold, then warm-seeded
-            # from a partial matching
+            # a required subset of A, covered into B
             req = a & (rng.random(shape) < rng.uniform(0.3, 1.0))
             want = scipy_max_matching_size(req, b, m_cap)
-            pre = _random_matching(rng, req, b, m_cap)
-            for warm in (None, (pre.a_match, pre.b_match)):
-                ok, am, bm, witness = cover_side(req, b, m_cap, warm=warm)
-                m = Matching(Rect((0, 0), shape), m_cap, am, bm)
-                m.validate(req, b)
-                assert m.size() == want
-                assert ok == (want == int(req.sum()))
-                if not ok:  # the witness is a Hall-deficient set of A-cells
-                    assert not np.any(witness & ~req)
-                    assert int((dilate(witness, m_cap) & b).sum()) < int(witness.sum())
+            ok, am, bm, witness = cover_side(req, b, m_cap)
+            m = Matching(Rect((0, 0), shape), m_cap, am, bm)
+            m.validate(req, b)
+            assert m.size() == want
+            assert ok == (want == int(req.sum()))
+            if not ok:  # the witness is a Hall-deficient set of A-cells
+                assert not np.any(witness & ~req)
+                assert int((dilate(witness, m_cap) & b).sum()) < int(witness.sum())
+
+
+def test_hierarchy_augment_reaches_maximum_from_a_partial_matching():
+    # the step _Covering.feasible_without_left takes: sweeps to a maximum
+    # from a matching that is neither empty nor greedy-built
+    rng = np.random.default_rng(31)
+    flipped = 0
+    for d, side in ((1, 300), (2, 40), (3, 12)):
+        shape = (side,) * d
+        for m_cap in (1, 2, 3):
+            for _ in range(2):
+                a = rng.random(shape) < rng.uniform(0.2, 0.6)
+                b = rng.random(shape) < rng.uniform(0.2, 0.6)
+                pre = _random_matching(rng, a, b, m_cap)
+                before = pre.size()
+                am, bm = pre.a_match.copy(), pre.b_match.copy()
+                flips = hierarchy_augment(a, b, am, bm, m_cap)
+                m = Matching(Rect((0,) * d, shape), m_cap, am, bm)
+                m.validate(a, b)
+                assert m.size() == before + flips == scipy_max_matching_size(a, b, m_cap)
+                flipped += flips
+    assert flipped > 0
 
 
 def test_forest_sweeps_reach_the_maximum_in_tile_views():
