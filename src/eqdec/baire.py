@@ -287,13 +287,14 @@ class BaireLevelReport:
     hall_ok: bool | None = None
 
 
-def _edge_set_distance(e1, e2) -> int:
-    best = None
-    for p in e1:
-        for q in e2:
-            dd = max(abs(a - b) for a, b in zip(p, q))
-            best = dd if best is None else min(best, dd)
-    return best
+def _sparse_edges(edges, bound: int) -> bool:
+    """True when every endpoint of each (A-cell, B-cell) edge lies more than
+    ``bound`` (sup-norm) from every endpoint of every other edge."""
+    if len(edges) < 2:
+        return True
+    ends = np.asarray(edges, dtype=np.int64)  # (n, 2, d)
+    gap = np.abs(ends[:, None, :, None] - ends[None, :, None, :]).max(axis=-1).min(axis=(2, 3))
+    return bool((gap[np.triu_indices(len(ends), 1)] > bound).all())
 
 
 def greedy_step(
@@ -327,36 +328,33 @@ def greedy_step(
         return int(coloring.color_of(coords[rel][None, :])[0])
 
     net_cells.sort(key=lambda c: (color_key(c), c))
-    added = []
+    added = []  # (A-cell, B-cell) of each added edge
     offs = offsets_row_major(m_cap, win.d)
+    own_matched = out.a_match if side == "A" else out.b_match
+    other_matched = out.b_match if side == "A" else out.a_match
     for cell in net_cells:
         rel = tuple(c - l for c, l in zip(cell, low))
-        own_matched = out.b_match if side == "B" else out.a_match
         if own_matched[rel] >= 0:
             continue
-        cands = []
-        for off in offs:
+        cands = []  # (partner, index of its offset from the net cell)
+        for j, off in enumerate(offs):
             partner = tuple(c + int(o) for c, o in zip(cell, off))
             prel = tuple(p - l for p, l in zip(partner, low))
             if any(p < 0 or p >= s for p, s in zip(prel, win.window.sides)):
                 continue
-            if not other_bits[prel]:
+            if not other_bits[prel] or other_matched[prel] >= 0:
                 continue
-            other_matched = out.a_match if side == "B" else out.b_match
-            if other_matched[prel] >= 0:
-                continue
-            cands.append(partner)
-        cands.sort(key=lambda c: (color_key(c), c))
+            cands.append((partner, j))
+        cands.sort(key=lambda c: (color_key(c[0]), c[0]))
         ctx = _OracleContext(m_prev, win, cell, side, horizon)
-        for partner in cands:
+        for partner, j in cands:
             if ctx.check(partner):
-                a_c = cell if side == "A" else partner
-                b_c = partner if side == "A" else cell
-                k = _offset_index(a_c, b_c, m_cap, win.d)
-                arel = tuple(c - l for c, l in zip(a_c, low))
-                brel = tuple(c - l for c, l in zip(b_c, low))
-                out.a_match[arel] = k
-                out.b_match[brel] = k
+                # the grids hold the index of the A-to-B offset; on a B level
+                # that is -offs[j], and offs[-1 - j] == -offs[j]
+                k = j if side == "A" else len(offs) - 1 - j
+                a_c, b_c = (cell, partner) if side == "A" else (partner, cell)
+                out.a_match[tuple(c - l for c, l in zip(a_c, low))] = k
+                out.b_match[tuple(c - l for c, l in zip(b_c, low))] = k
                 added.append((a_c, b_c))
                 break
         else:
@@ -368,13 +366,6 @@ def greedy_step(
             raise ExtendabilityError(
                 f"level {level}: net cell {cell} has no extendable partner" + why
             )
-    # added edges must be (r_i + 2M)-sparse
-    sparsity_ok = True
-    bound = r_i + 2 * m_cap
-    for i in range(len(added)):
-        for j in range(i + 1, len(added)):
-            if _edge_set_distance(added[i], added[j]) <= bound:
-                sparsity_ok = False
     report = BaireLevelReport(
         level=level,
         side=side,
@@ -382,19 +373,11 @@ def greedy_step(
         net_size=len(net_cells),
         added=len(added),
         horizon=horizon,
-        sparsity_ok=sparsity_ok,
+        sparsity_ok=_sparse_edges(added, r_i + 2 * m_cap),
         condition_value=ladder.condition_partials[level - 1],
         condition_ok=ladder.condition_ok(level),
     )
     return out, report
-
-
-def _offset_index(a_c, b_c, m_cap, d) -> int:
-    box = 2 * m_cap + 1
-    k = 0
-    for aa, bb in zip(a_c, b_c):
-        k = k * box + (bb - aa + m_cap)
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +407,13 @@ def run_baire(
     m_cap = win.sys.m_cap
     horizons = [horizon_factor * int(r) for r in radii]
     margins = [h + m_cap + 1 for h in horizons]
+    margin = max(margins, default=0)  # build_nets rejects empty radii
+    core = win.core_rect(margin)  # a window too small fails before the nets
     ladder = build_nets(
         win, radii, seed, margins, candidate_cap=candidate_cap, net_cap=net_cap
     )
     coloring = build_sparse_coloring(win.sys, 2 * m_cap)
     m = Matching(win.window, m_cap)
-    margin = max(margins)
-    core = win.core_rect(margin)
     csl = core.slices_in(win.window)
     reports = []
     for level in range(1, len(radii) + 1):

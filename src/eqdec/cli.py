@@ -122,6 +122,7 @@ def _default_shapes(cfg):
 
 
 def _setup(cfg):
+    """The run's window, its config echo and the two parsed shapes."""
     seed = int(cfg["seed"])
     sys = sample_free_system(sub_seed(seed, "vectors"), cfg["k"], cfg["d"], cfg["m_cap"])
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"base")]))
@@ -137,7 +138,7 @@ def _setup(cfg):
     # execution-only knobs must not affect output bytes
     echo.pop("threads", None)
     echo.pop("out", None)
-    return win, sys, u, echo
+    return win, echo, shape_a, shape_b
 
 
 def _outdir(cfg) -> Path:
@@ -150,10 +151,9 @@ def cmd_audit(args) -> int:
     from eqdec.discrepancy import UniformityBudget, profile, summability_report
 
     cfg = load_config(args)
-    win, sys, u, echo = _setup(cfg)
+    win, echo, shape_a, shape_b = _setup(cfg)
     out = _outdir(cfg)
     i_max = int(cfg.get("i_max", 6))
-    shape_a, shape_b, *_ = _default_shapes(cfg)
     result = {"config": echo}
     for name, cs, shape in (("a", win.a_bits, shape_a), ("b", win.b_bits, shape_b)):
         delta = float(cs.bits.mean())
@@ -197,7 +197,7 @@ def cmd_square(args) -> int:
 
     cfg = load_config(args)
     cfg.setdefault("ladder", [8, 32, 128])
-    win, sys, u, echo = _setup(cfg)
+    win, echo, *_ = _setup(cfg)
     out = _outdir(cfg)
     levels = int(cfg.get("levels", len(cfg["ladder"]) - 1))
     schedule = build_schedule(win, cfg["ladder"], levels)
@@ -233,7 +233,7 @@ def cmd_baire(args) -> int:
 
     cfg = load_config(args)
     cfg.setdefault("radii", [32, 96, 288])
-    win, sys, u, echo = _setup(cfg)
+    win, echo, *_ = _setup(cfg)
     out = _outdir(cfg)
     ladder_seed = sub_seed(cfg["seed"], "nets")
     res = run_baire(
@@ -384,8 +384,8 @@ def main(argv=None) -> int:
     except (ArgumentError, PrecisionError, LoadError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
-    except ResourceError as e:
-        print(f"resource error: {e}", file=_sys.stderr)
+    except (ResourceError, MemoryError) as e:
+        print(f"resource error: {str(e) or 'out of memory'}", file=_sys.stderr)
         return 3
     except (AssertionError, ExtendabilityError) as e:
         print(f"assertion failure: {e}", file=_sys.stderr)

@@ -1,6 +1,12 @@
 """Multi-scale matching pipeline: seed nets, integer Voronoi grid domains,
 and the per-level prune / rematch / refine matching sequence with
 convergence reporting.
+
+Level 0 builds one matching (``init_m0``); every later level edits it in
+place: ``prune_cross_cube`` drops the edges that cross the new cubes,
+``rematch_dirty_cubes`` rebuilds the cubes that straddle old Voronoi cells,
+and ``_refine_all`` augments the clean cubes. Every canonical maximum
+matching from scratch inside a set of boxes comes from ``_match_regions``.
 """
 
 from __future__ import annotations
@@ -289,19 +295,25 @@ def _cube_boxes(dom: GridDomain, window: Rect):
     return lows, np.full_like(lows, dom.n_cube)
 
 
-def _match_regions(win: CosetWindow, m: Matching, region, lows, sides):
-    """Canonical maximum matching inside every region of a region-id grid.
+def _match_regions(win: CosetWindow, m: Matching, lows, sides) -> None:
+    """Canonical maximum matching from scratch inside disjoint boxes, in place.
 
-    ``region`` holds each cell's region id, a row of the (n, d) box arrays
-    ``lows`` and ``sides`` (array coordinates), or -1 outside every region. One
-    batched greedy pass, then batched augmentation to maximum in every region
-    that still has a free A-cell and a free B-cell. Regions are disjoint, so
-    each ends as if it had been matched alone.
+    The boxes are given by (n, d) arrays of low corners (array coordinates)
+    and sides. Their cells are unmatched first. Then one batched greedy pass,
+    and batched augmentation to maximum in every box that still has a free
+    A-cell and a free B-cell. Boxes are disjoint, so each ends as if it had
+    been matched alone.
     """
+    if len(lows) == 0:
+        return
+    region = _paint(win.window.sides, lows, sides)
+    inside = region >= 0
+    m.a_match[inside] = -1
+    m.b_match[inside] = -1
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
     greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=region)
     ids = region.ravel()
-    valid = ids >= 0
+    valid = inside.ravel()
     free_a = a_bits.ravel() & (m.a_match.ravel() < 0) & valid
     free_b = b_bits.ravel() & (m.b_match.ravel() < 0) & valid
     ua = np.bincount(ids[free_a], minlength=len(lows))
@@ -311,23 +323,30 @@ def _match_regions(win: CosetWindow, m: Matching, region, lows, sides):
 
 
 def init_m0(win: CosetWindow, dom: GridDomain) -> Matching:
-    """Canonical maximum matching inside every level-0 cube."""
+    """A new matching, canonical and maximum inside every level-0 cube."""
     m = Matching(win.window, win.sys.m_cap)
-    _match_regions(win, m, dom.cube_id, *_cube_boxes(dom, win.window))
+    _match_regions(win, m, *_cube_boxes(dom, win.window))
     return m
 
 
-def prune_cross_cube(m: Matching, dom: GridDomain) -> Matching:
-    """Keep only edges with both endpoints inside one domain cube."""
-    out = m.copy()
-    a_idx, _, b_idx = out.edges()
+def _crossing_edges(m: Matching, dom: GridDomain):
+    """The A-cells and B-cells, as (n, d) index arrays, of the edges without
+    both endpoints inside one domain cube."""
+    a_idx, _, b_idx = m.edges()
     ca = dom.cube_id[tuple(a_idx.T)]
     cb = dom.cube_id[tuple(b_idx.T)]
-    drop = (ca < 0) | (ca != cb)
-    if drop.any():
-        out.a_match[tuple(a_idx[drop].T)] = -1
-        out.b_match[tuple(b_idx[drop].T)] = -1
-    return out
+    cross = (ca < 0) | (ca != cb)
+    return a_idx[cross], b_idx[cross]
+
+
+def prune_cross_cube(m: Matching, dom: GridDomain) -> int:
+    """Drop, in place, every edge without both endpoints inside one domain
+    cube; return how many were dropped, which is also how many A-cells
+    changed."""
+    a_idx, b_idx = _crossing_edges(m, dom)
+    m.a_match[tuple(a_idx.T)] = -1
+    m.b_match[tuple(b_idx.T)] = -1
+    return len(a_idx)
 
 
 def _dirty_cubes(dom: GridDomain, prev: GridDomain) -> np.ndarray:
@@ -348,33 +367,27 @@ def _dirty_cubes(dom: GridDomain, prev: GridDomain) -> np.ndarray:
     return np.flatnonzero((c_uncov > 0) | (omin != omax))
 
 
-def rematch_dirty_cubes(m2: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow):
-    """Rebuild the matching from scratch inside every dirty cube."""
-    out = m2.copy()
+def rematch_dirty_cubes(m: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow):
+    """Rebuild the matching from scratch inside every dirty cube, in place;
+    return the dirty cube indices, ascending."""
     dirty = _dirty_cubes(dom, prev)
-    if len(dirty) == 0:
-        return out, dirty
-    lookup = np.zeros(len(dom.cube_lows), dtype=bool)
-    lookup[dirty] = True
-    region = np.where(lookup[dom.cube_id] & (dom.cube_id >= 0), dom.cube_id, -1)
-    out.a_match[region >= 0] = -1
-    out.b_match[region >= 0] = -1
-    _match_regions(win, out, region, *_cube_boxes(dom, win.window))
-    return out, dirty
+    lows, sides = _cube_boxes(dom, win.window)
+    _match_regions(win, m, lows[dirty], sides[dirty])
+    return dirty
 
 
 def _refine_all(
-    m3: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow, clean_ids
+    m: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow, clean_ids
 ) -> None:
     """Align each clean cube's matching with the inherited finer grid, then
     make it maximum by bounded-length augmentation, level by level.
 
-    Mutates ``m3`` in place (the clean cubes' cells only); raises on a dirty
-    cube. A clean cube lies inside one previous Voronoi cell, so it inherits
-    that seed's n_prev-grid; ``rect_tree_boxes`` gives each tree level's
-    node boxes for all clean cubes at once. Basic rectangles that are not
-    cubes of the previous domain get fresh canonical matchings first, all in
-    one batch. Then each tree level, fine to coarse, is one batch of
+    Edits ``m`` in place, in the clean cubes' cells only, and returns
+    nothing; raises on a dirty cube. A clean cube lies inside one previous
+    Voronoi cell, so it inherits that seed's n_prev-grid; ``rect_tree_boxes``
+    gives each tree level's node boxes for all clean cubes at once. Basic
+    rectangles that are not cubes of the previous domain get fresh canonical
+    matchings first, all in one batch (``_match_regions``). Then each tree level, fine to coarse, is one batch of
     length-capped augmentation over its nodes in every clean cube: all trees
     share the height log2(N / n_prev), so a level's nodes share one cap.
     Cubes are disjoint, so batching across them leaves each cube as if it
@@ -395,41 +408,16 @@ def _refine_all(
 
     basic_lows, basic_sides = boxes(h)
     fresh = (basic_sides != n_prev).any(axis=1)
-    if fresh.any():
-        region = _paint(win.window.sides, basic_lows[fresh], basic_sides[fresh])
-        m3.a_match[region >= 0] = -1
-        m3.b_match[region >= 0] = -1
-        _match_regions(win, m3, region, basic_lows[fresh], basic_sides[fresh])
+    _match_regions(win, m, basic_lows[fresh], basic_sides[fresh])
     for level in range(h, 0, -1):
         cap = (1 << (h - level + 1)) * n_prev + n_prev // 2
         _augment_regions(
-            win.a_bits.bits, win.b_bits.bits, m3.a_match, m3.b_match, m3.m_cap, *boxes(level - 1), cap
+            win.a_bits.bits, win.b_bits.bits, m.a_match, m.b_match, m.m_cap, *boxes(level - 1), cap
         )
 
 
 # ---------------------------------------------------------------------------
 # Full pipeline
-
-
-def _per_cube_stats(win: CosetWindow, dom: GridDomain, m: Matching):
-    """Per-cube (A,B)-discrepancies and unmatched structure."""
-    ids = dom.cube_id.ravel()
-    valid = ids >= 0
-    n = len(dom.cube_lows)
-    a = win.a_bits.bits.ravel() & valid
-    b = win.b_bits.bits.ravel() & valid
-    ca = np.bincount(ids[a], minlength=n)
-    cb = np.bincount(ids[b], minlength=n)
-    ua = np.bincount(ids[a & (m.a_match.ravel() < 0)], minlength=n)
-    ub = np.bincount(ids[b & (m.b_match.ravel() < 0)], minlength=n)
-    disc = np.abs(ca - cb)
-    return {
-        "discrepancy": disc,
-        "unmatched_a": ua,
-        "unmatched_b": ub,
-        "two_sided": int(((ua > 0) & (ub > 0)).sum()),
-        "exceeds": int(((ua + ub) > disc).sum()),
-    }
 
 
 def margin_formula(schedule: GridSchedule, levels: int, m_cap: int) -> int:
@@ -447,13 +435,6 @@ def margin_core(schedule: GridSchedule, levels: int, m_cap: int) -> int:
     radii = [r for r in schedule.seed_radii[: levels + 1] if r is not None]
     biggest = max(radii + [schedule.ladder[levels]])
     return 2 * biggest + m_cap
-
-
-def _edges_in_cubes(m: Matching, dom: GridDomain) -> bool:
-    a_idx, _, b_idx = m.edges()
-    ca = dom.cube_id[tuple(a_idx.T)]
-    cb = dom.cube_id[tuple(b_idx.T)]
-    return bool(np.all((ca >= 0) & (ca == cb)))
 
 
 def _no_short_augmenting_path(win: CosetWindow, dom: GridDomain, m: Matching) -> bool:
@@ -480,7 +461,8 @@ def run_pipeline(
     levels: int,
     check_invariants: bool = False,
 ) -> PipelineResult:
-    """Run init plus ``levels`` rounds of prune / rematch / refine.
+    """Run init plus ``levels`` rounds of prune / rematch / refine, all on
+    one matching edited in place.
 
     Deterministic for fixed inputs. Reports carry per-phase changed-cell
     counts, per-cube discrepancy statistics and the unmatched fraction on the
@@ -491,62 +473,36 @@ def run_pipeline(
     m_cap = win.sys.m_cap
     mcore = margin_core(schedule, levels, m_cap)
     core = win.core_rect(mcore)  # raises when the window is too small
-    a_flat = win.a_bits.bits
-    total_a_core = int(a_flat[core.slices_in(win.window)].sum())
+    total_a_core = int(win.a_bits.bits[core.slices_in(win.window)].sum())
     volume = win.window.volume()
 
-    doms = []
     reports: list[IterationReport] = []
-    vor = integer_voronoi(schedule.seeds[0], win.window, cover_radius=schedule.seed_radii[0])
-    dom = grid_domain(schedule.seeds[0], schedule.ladder[0], vor, win.window, level=0)
-    doms.append(dom)
-    m = init_m0(win, dom)
-    reports.append(_report(win, dom, m, 0, 0, 0, 0, 0, core, total_a_core, volume))
-    if check_invariants:
-        m.validate(win.a_bits.bits, win.b_bits.bits)
-        if not _edges_in_cubes(m, dom):
-            raise AssertionError("matching edge escapes a level-0 cube")
-
-    for i in range(1, levels + 1):
-        prev_dom = doms[-1]
+    for i in range(levels + 1):
         vor = integer_voronoi(schedule.seeds[i], win.window, cover_radius=schedule.seed_radii[i])
         dom = grid_domain(schedule.seeds[i], schedule.ladder[i], vor, win.window, level=i)
-        doms.append(dom)
-
-        snap = m.a_match.copy()
-        m2 = prune_cross_cube(m, dom)
-        changed_prune = int((snap != m2.a_match).sum())
-
-        m3, dirty = rematch_dirty_cubes(m2, dom, prev_dom, win)
-        changed_rematch = int((m2.a_match != m3.a_match).sum())
-
-        snap3 = m3.a_match.copy()
-        clean_ids = np.setdiff1d(np.arange(len(dom.cube_lows)), dirty)
-        _refine_all(m3, dom, prev_dom, win, clean_ids)
-        changed_refine = int((snap3 != m3.a_match).sum())
-
-        m = m3
-        reports.append(
-            _report(
-                win,
-                dom,
-                m,
-                i,
-                len(dirty),
-                changed_prune,
-                changed_rematch,
-                changed_refine,
-                core,
-                total_a_core,
-                volume,
-            )
-        )
+        if i == 0:
+            m = init_m0(win, dom)
+            dirty, changed = [], (0, 0, 0)
+        else:
+            pruned = prune_cross_cube(m, dom)
+            snap = m.a_match.copy()
+            dirty = rematch_dirty_cubes(m, dom, prev, win)
+            is_dirty = np.zeros(len(dom.cube_lows), dtype=bool)
+            is_dirty[dirty] = True
+            _refine_all(m, dom, prev, win, np.flatnonzero(~is_dirty))
+            # rematch edits only dirty cubes, refine only clean ones, and no
+            # uncovered cell is matched after the prune
+            per_cube = np.bincount(dom.cube_id[snap != m.a_match], minlength=len(is_dirty))
+            rematched = int(per_cube[is_dirty].sum())
+            changed = (pruned, rematched, int(per_cube.sum()) - rematched)
+        reports.append(_report(win, dom, m, i, len(dirty), *changed, core, total_a_core, volume))
         if check_invariants:
             m.validate(win.a_bits.bits, win.b_bits.bits)
-            if not _edges_in_cubes(m, dom):
+            if len(_crossing_edges(m, dom)[0]):
                 raise AssertionError(f"matching edge escapes a level-{i} cube")
-            if not _no_short_augmenting_path(win, dom, m):
+            if i > 0 and not _no_short_augmenting_path(win, dom, m):
                 raise AssertionError(f"augmenting path of length <= cube side at level {i}")
+        prev = dom
 
     return PipelineResult(
         matching=m,
@@ -558,22 +514,31 @@ def run_pipeline(
 
 
 def _report(win, dom, m, level, dirty, cp, cr, cf, core, total_a_core, volume):
-    stats = _per_cube_stats(win, dom, m)
+    """One level's report: the changed-cell counts given, per-cube
+    (A, B)-discrepancies and unmatched structure, and the core's unmatched
+    fraction."""
+    ids = dom.cube_id.ravel()
+    valid = ids >= 0
+    n = len(dom.cube_lows)
+    a = win.a_bits.bits.ravel() & valid
+    b = win.b_bits.bits.ravel() & valid
+    ua = np.bincount(ids[a & (m.a_match.ravel() < 0)], minlength=n)
+    ub = np.bincount(ids[b & (m.b_match.ravel() < 0)], minlength=n)
+    disc = np.abs(np.bincount(ids[a], minlength=n) - np.bincount(ids[b], minlength=n))
     csl = core.slices_in(win.window)
     unmatched_core = int((win.a_bits.bits[csl] & (m.a_match[csl] < 0)).sum())
-    disc = stats["discrepancy"]
     return IterationReport(
         level=level,
         n_cube=dom.n_cube,
         dirty_cubes=dirty,
-        total_cubes=len(dom.cube_lows),
+        total_cubes=n,
         changed_prune=cp,
         changed_rematch=cr,
         changed_refine=cf,
         window_volume=volume,
         unmatched_fraction=unmatched_core / max(total_a_core, 1),
-        cube_discrepancy_max=int(disc.max()) if len(disc) else 0,
-        cube_discrepancy_mean=float(disc.mean()) if len(disc) else 0.0,
-        unmatched_exceeds_discrepancy=stats["exceeds"],
-        two_sided_cubes=stats["two_sided"],
+        cube_discrepancy_max=int(disc.max()) if n else 0,
+        cube_discrepancy_mean=float(disc.mean()) if n else 0.0,
+        unmatched_exceeds_discrepancy=int(((ua + ub) > disc).sum()),
+        two_sided_cubes=int(((ua > 0) & (ub > 0)).sum()),
     )

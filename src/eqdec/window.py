@@ -11,7 +11,7 @@ import numpy as np
 
 from eqdec.errors import ArgumentError, PrecisionError, ResourceError
 from eqdec.lattice import CellSet, Rect
-from eqdec.torus import FreeVectorSystem, Shape, TorusPoint, coset_point, offsets_row_major, torus_delta
+from eqdec.torus import FreeVectorSystem, Shape, TorusPoint, coset_point, torus_delta
 
 __all__ = [
     "CosetWindow",
@@ -125,12 +125,19 @@ class SparseColoring:
 
 
 def _min_translation_distance(sys: FreeVectorSystem, r: int) -> float:
-    """Min torus sup-norm over nonzero combinations with coefficients <= r."""
+    """Min torus sup-norm over nonzero combinations with coefficients <= r.
+
+    The nonzero coefficient vectors are streamed in row-major chunks of 2^18,
+    so memory stays bounded whatever r and d: the whole (2r+1)^d box is
+    never built.
+    """
     best = np.inf
-    offs = offsets_row_major(r, sys.d)
-    offs = offs[np.any(offs != 0, axis=1)]
-    for lo in range(0, len(offs), 1 << 18):
-        c = offs[lo : lo + (1 << 18)].astype(np.float64)
+    box = (2 * r + 1,) * sys.d
+    total = int(np.prod(box))
+    for lo in range(0, total - 1, 1 << 18):
+        idx = np.arange(lo, min(lo + (1 << 18), total - 1))
+        idx += idx >= total // 2  # skip the zero vector, the box's centre
+        c = (np.stack(np.unravel_index(idx, box), axis=-1) - r).astype(np.float64)
         v = c @ sys.vectors
         v -= np.floor(v)
         dist = torus_delta(v, 0.0).max(axis=1)

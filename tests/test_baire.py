@@ -6,6 +6,7 @@ import pytest
 from eqdec.baire import (
     _Covering,
     _OracleContext,
+    _sparse_edges,
     build_nets,
     extendable_oracle,
     greedy_step,
@@ -152,6 +153,29 @@ def test_greedy_step_empty_net_is_noop():
     m = Matching(win.window, 8)
     out, rep = greedy_step(m, 1, ladder, coloring, 16, win)
     assert out.size() == 0 and rep.added == 0
+
+
+def _sparse_edges_loop(edges, bound):
+    """Reference: every pair of edges, every pair of their endpoints."""
+    for i, e1 in enumerate(edges):
+        for e2 in edges[i + 1 :]:
+            if min(max(abs(a - b) for a, b in zip(p, q)) for p in e1 for q in e2) <= bound:
+                return False
+    return True
+
+
+def test_sparse_edges_equals_the_pairwise_loop():
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(400):
+        d = int(rng.integers(2, 4))
+        edges = [tuple(tuple(int(x) for x in rng.integers(0, 60, d)) for _ in "ab")
+                 for _ in range(int(rng.integers(0, 6)))]
+        bound = int(rng.integers(0, 24))
+        want = _sparse_edges_loop(edges, bound)
+        assert _sparse_edges(edges, bound) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_run_baire_small_end_to_end():

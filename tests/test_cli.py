@@ -220,6 +220,41 @@ def test_baire_failed_hall_audit_exits_1(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "baire.eqdc").exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.96 GiB for an array", ""])
+def test_memory_error_is_one_line_exit_3(tmp_path, monkeypatch, capsys, message):
+    from eqdec import lebesgue
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(lebesgue, "run_pipeline", exhausted)
+    capsys.readouterr()
+    code = run_cli("square", "--window", 64, "--ladder", "8,32", "--out", tmp_path)
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"resource error: {message or 'out of memory'}"]
+
+
+def test_audit_parses_each_shape_once(tmp_path, monkeypatch):
+    from eqdec import cli
+
+    parsed = []
+    parse = cli.shape_from_json
+
+    def counting(spec):
+        parsed.append(spec["type"])
+        return parse(spec)
+
+    monkeypatch.setattr(cli, "shape_from_json", counting)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"samples": 10_000}))
+    code = run_cli(
+        "audit", "--config", config, "--window", 64, "--out", tmp_path, "--i-max", 3
+    )
+    assert code == 0
+    assert parsed == ["disk", "axis_square"]
+
+
 def test_baire_extendability_failure_is_one_line(tmp_path):
     proc = _cli_process(
         "baire", "--window", 256, "--mcap", 2, "--radii", "8,24", "--seed", 7,

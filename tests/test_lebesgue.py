@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -177,6 +179,34 @@ def test_square_three_level_golden_hash():
     assert digest == "8b8c16b55b5f1a0e6498b0689349389796b2b90327cbddbefd6df1c3197be0ab"
 
 
+def test_square_three_level_reports_digest():
+    # the per-level counts, above all changed_prune / changed_rematch /
+    # changed_refine, of the three-level golden run; level 1 reads 492 dirty
+    # cubes of 1,024 and 4,184 / 18,447 / 9,284 changed A-cells
+    win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 512})
+    res = run_pipeline(win, build_schedule(win, (4, 16, 64), 2), 2)
+    blob = json.dumps([dataclasses.asdict(r) for r in res.reports], sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "38ddde8952ad67498d851003f0fdeef5c0329cba4b617b1a42d65088afbff0bc"
+
+
+@pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
+def test_square_pipeline_edits_one_matching(monkeypatch, ladder):
+    # every level edits the level-0 matching in place: no per-level copies
+    win, *_ = _setup({"seed": 7, "k": 2, "d": 2, "m_cap": 8, "window": 256})
+    schedule = build_schedule(win, ladder, 1)
+    copies = []
+    copy = matching.Matching.copy
+
+    def counting(self):
+        copies.append(1)
+        return copy(self)
+
+    monkeypatch.setattr(matching.Matching, "copy", counting)
+    run_pipeline(win, schedule, 1)
+    assert copies == []
+
+
 @pytest.mark.parametrize("ladder", list(GOLDEN_SQUARE))
 def test_square_pipeline_never_runs_the_ladder(monkeypatch, ladder):
     # ladder_max_matching (nearest-first greedy), hierarchy_augment and its
@@ -239,13 +269,17 @@ def test_prune_cross_cube():
     dom0 = grid_domain(sched.seeds[0], 8, vor0, win.window, 0)
     m = init_m0(win, dom0)
     # prune against the same domain leaves everything in place
-    same = prune_cross_cube(m, dom0)
+    same = m.copy()
+    assert prune_cross_cube(same, dom0) == 0
     assert same.size() == m.size()
     vor1 = integer_voronoi(sched.seeds[1], win.window)
     dom1 = grid_domain(sched.seeds[1], 32, vor1, win.window, 1)
-    pruned = prune_cross_cube(m, dom1)
+    pruned = m.copy()
+    dropped = prune_cross_cube(pruned, dom1)
     pruned.validate(win.a_bits.bits, win.b_bits.bits)
     assert pruned.size() <= m.size()
+    # each dropped edge changes exactly one A-cell
+    assert dropped == m.size() - pruned.size() == int((pruned.a_match != m.a_match).sum())
     pairs = pruned.pairs()
     low = np.array(win.window.low)
     for a, b in pairs[:300]:
@@ -262,21 +296,22 @@ def test_rematch_and_refine_reach_per_cube_maximum():
     m = init_m0(win, dom0)
     vor1 = integer_voronoi(sched.seeds[1], win.window)
     dom1 = grid_domain(sched.seeds[1], 16, vor1, win.window, 1)
-    m2 = prune_cross_cube(m, dom1)
-    m3, dirty = rematch_dirty_cubes(m2, dom1, dom0, win)
-    m3.validate(win.a_bits.bits, win.b_bits.bits)
-    assert (m3.a_match != m2.a_match).any()
+    prune_cross_cube(m, dom1)
+    pruned = m.copy()
+    dirty = rematch_dirty_cubes(m, dom1, dom0, win)
+    m.validate(win.a_bits.bits, win.b_bits.bits)
+    assert (m.a_match != pruned.a_match).any()
     dirty_set = set(dirty.tolist())
     clean_ids = [ci for ci in range(len(dom1.cube_lows)) if ci not in dirty_set]
     assert len(dirty) and len(clean_ids)
-    _refine_all(m3, dom1, dom0, win, clean_ids)
-    m3.validate(win.a_bits.bits, win.b_bits.bits)
+    _refine_all(m, dom1, dom0, win, clean_ids)
+    m.validate(win.a_bits.bits, win.b_bits.bits)
     for ci in range(len(dom1.cube_lows)):
         rect = dom1.cube_rect(ci)
         sl = rect.slices_in(win.window)
         a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
-        am, bm = m3.a_match[sl], m3.b_match[sl]
-        bfs = matching._layered_bfs(a_bits, b_bits, am, bm, m3.offsets, m3.m_cap, max(rect.sides))
+        am, bm = m.a_match[sl], m.b_match[sl]
+        bfs = matching._layered_bfs(a_bits, b_bits, am, bm, m.offsets, m.m_cap, max(rect.sides))
         assert bfs.ends is None
 
 
@@ -296,12 +331,12 @@ def test_refine_single_flip_instance():
     m = init_m0(win, dom0)
     assert m.size() == 0  # the pair straddles the 4-grid
     dom1 = grid_domain(S, 8, integer_voronoi(S, R), R, 1)
-    m2 = prune_cross_cube(m, dom1)
-    m3, dirty = rematch_dirty_cubes(m2, dom1, dom0, win)
+    prune_cross_cube(m, dom1)
+    dirty = rematch_dirty_cubes(m, dom1, dom0, win)
     assert len(dirty) == 0
-    _refine_all(m3, dom1, dom0, win, [0])
-    assert m3.size() == 1
-    assert m3.partner_of((1, 3)) == (1, 5)
+    _refine_all(m, dom1, dom0, win, [0])
+    assert m.size() == 1
+    assert m.partner_of((1, 3)) == (1, 5)
 
 
 def test_refine_without_clean_cubes_changes_nothing():
@@ -309,11 +344,13 @@ def test_refine_without_clean_cubes_changes_nothing():
     sched = build_schedule(win, (4, 16, 32), levels=1)
     dom0 = grid_domain(sched.seeds[0], 4, integer_voronoi(sched.seeds[0], win.window), win.window, 0)
     dom1 = grid_domain(sched.seeds[1], 16, integer_voronoi(sched.seeds[1], win.window), win.window, 1)
-    m3, _ = rematch_dirty_cubes(prune_cross_cube(init_m0(win, dom0), dom1), dom1, dom0, win)
-    before = m3.copy()
-    _refine_all(m3, dom1, dom0, win, [])  # every cube counted dirty
-    assert np.array_equal(m3.a_match, before.a_match)
-    assert np.array_equal(m3.b_match, before.b_match)
+    m = init_m0(win, dom0)
+    prune_cross_cube(m, dom1)
+    rematch_dirty_cubes(m, dom1, dom0, win)
+    before = m.copy()
+    _refine_all(m, dom1, dom0, win, [])  # every cube counted dirty
+    assert np.array_equal(m.a_match, before.a_match)
+    assert np.array_equal(m.b_match, before.b_match)
 
 
 def test_refine_requires_clean_cube():
@@ -325,11 +362,11 @@ def test_refine_requires_clean_cube():
     m = init_m0(win, dom0)
     vor1 = integer_voronoi(sched.seeds[1], win.window)
     dom1 = grid_domain(sched.seeds[1], 16, vor1, win.window, 1)
-    m2 = prune_cross_cube(m, dom1)
-    _, dirty = rematch_dirty_cubes(m2, dom1, dom0, win)
+    prune_cross_cube(m, dom1)
+    dirty = rematch_dirty_cubes(m.copy(), dom1, dom0, win)
     assert len(dirty)
     with pytest.raises(ArgumentError):
-        _refine_all(m2, dom1, dom0, win, [int(dirty[0])])
+        _refine_all(m, dom1, dom0, win, [int(dirty[0])])
 
 
 def test_run_pipeline_identity_instance():

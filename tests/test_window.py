@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ from eqdec.errors import ArgumentError, PrecisionError, ResourceError
 from eqdec.lattice import Rect
 from eqdec.torus import AxisSquare, Bitmap, Disk, FreeVectorSystem, TorusPoint, sample_free_system
 from eqdec.window import (
+    _min_translation_distance,
     build_sparse_coloring,
     extract_window,
     greedy_sparse_net,
@@ -100,6 +102,42 @@ def test_sparse_coloring_precision_error():
     sys = FreeVectorSystem(k=2, d=2, vectors=vecs, m_cap=4, rng_seed=0)
     with pytest.raises(PrecisionError):
         build_sparse_coloring(sys, 4)
+
+
+def _min_translation_distance_materialised(sys, r):
+    """Reference: the whole (2r+1)^d coefficient box built at once, zero
+    vector dropped, in 2^18-row chunks."""
+    ax = [np.arange(-r, r + 1)] * sys.d
+    offs = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, sys.d)
+    offs = offs[np.any(offs != 0, axis=1)]
+    best = np.inf
+    for lo in range(0, len(offs), 1 << 18):
+        v = offs[lo : lo + (1 << 18)].astype(np.float64) @ sys.vectors
+        v -= np.floor(v)
+        best = min(best, float(np.minimum(v, 1.0 - v).max(axis=1).min()))
+    return best
+
+
+def test_min_translation_distance_streams_the_reference_value():
+    for seed in range(3):
+        for d, radii in ((2, (1, 16, 48, 100)), (3, (1, 8, 20))):
+            for k in (1, 2, 3):
+                sys = sample_free_system(seed * 31 + k, k, d, 4)
+                for r in radii:
+                    got = _min_translation_distance(sys, r)
+                    assert got == _min_translation_distance_materialised(sys, r)
+
+
+def test_min_translation_distance_never_builds_the_box():
+    # at d = 3, r = 64 the box of offsets alone is 129^3 x 3 int64, 51 MB
+    sys = sample_free_system(3, 2, 3, 8)
+    tracemalloc.start()
+    try:
+        _min_translation_distance(sys, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 129**3 * 3 * 8
 
 
 def test_greedy_sparse_net_tiny_window():
