@@ -21,7 +21,6 @@ from eqdec.matching import (
     _forest_sweep,
     cover_side,
     hall_deficiency,
-    hierarchy_augment,
 )
 from eqdec.torus import offsets_row_major, torus_delta
 from eqdec.window import CosetWindow, SparseColoring, _min_translation_distance
@@ -133,17 +132,16 @@ def build_nets(
 class _Covering:
     """One-sided coverage state: required left cells matched into right cells.
 
-    Each question below works on copies of the two match grids and costs at
-    most one single-root forest sweep (full cover), or forest sweeps over the
-    whole region until one flips nothing (``hierarchy_augment``, deficient
-    cover).
+    A dropped right cell costs at most one single-root forest sweep on copies
+    of the two match grids (full cover). A dropped left cell costs nothing:
+    the answer is read off the Hall witness of a deficient cover.
     """
 
     def __init__(self, left_req, right_avail, m_cap):
         self.left_req = left_req
         self.right_avail = right_avail
         self.m_cap = m_cap
-        self.ok, self.lmatch, self.rmatch, _ = cover_side(left_req, right_avail, m_cap)
+        self.ok, self.lmatch, self.rmatch, self.witness = cover_side(left_req, right_avail, m_cap)
 
     def feasible_without_right(self, cell, offsets) -> bool:
         """Feasibility after removing one right-side cell: with a full cover, one
@@ -162,28 +160,26 @@ class _Covering:
         labels = np.empty((2,) + lm.shape, dtype=np.int32)
         return _forest_sweep(self.left_req, avail, lm, rm, self.m_cap, labels) > 0
 
-    def feasible_without_left(self, cell, offsets) -> bool:
-        """Feasibility after dropping one cell from the required left set."""
+    def feasible_without_left(self, cell) -> bool:
+        """Feasibility after dropping one cell from the required left set.
+
+        Dropping a requirement lowers the shortfall by at most one, and by
+        one exactly when some maximum matching leaves the cell free. By
+        Dulmage-Mendelsohn those are the required cells reachable by
+        alternating paths from free ones: the Hall witness. So a deficient
+        cover is mended exactly when it is one cell short and the cell lies
+        on the witness."""
         if self.ok:
-            return True  # dropping a requirement only frees capacity
-        lm, rm = self.lmatch.copy(), self.rmatch.copy()
-        k = int(self.lmatch[cell])
-        if k >= 0:
-            partner = tuple(int(c + o) for c, o in zip(cell, offsets[k]))
-            lm[cell] = -1
-            rm[partner] = -1
-        req = self.left_req.copy()
-        req[cell] = False
-        hierarchy_augment(req, self.right_avail, lm, rm, self.m_cap)
-        return not (req & (lm < 0)).any()
+            return True
+        return bool(self.witness[cell]) and int((self.left_req & (self.lmatch < 0)).sum()) == 1
 
 
 class _OracleContext:
     """Feasibility state shared across candidate partners of one net cell.
 
     A candidate check then costs one single-root forest sweep on copies of
-    the net cell's side covering, and nothing on the other side while its
-    covering is full, instead of two full coverage matchings.
+    the net cell's side covering, and a lookup on the other side, instead of
+    two full coverage matchings.
     """
 
     def __init__(self, m: Matching, win: CosetWindow, anchor, anchor_side: str, horizon: int):
@@ -221,7 +217,7 @@ class _OracleContext:
         if not free[p]:
             return False
         off = self.offsets
-        return own.feasible_without_right(p, off) and other.feasible_without_left(p, off)
+        return own.feasible_without_right(p, off) and other.feasible_without_left(p)
 
 
 class _GlobalCover:

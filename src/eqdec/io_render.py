@@ -1,17 +1,18 @@
 """Bit-exact run storage (EQDC container) and PPM piece-map rendering.
 
-Container layout: 8-byte magic "EQDC0001"; little-endian header (d, k, M,
+Container layout: 8-byte magic "EQDC0002"; little-endian header (d, k, M,
 flags as uint32, then window low and sides as int64 per axis); the A and B
 bit grids packed row by row; the piece grid as uint16 offset indices with
-0xFFFF meaning unmatched; a UTF-8 JSON manifest to end of file. The manifest
-echoes the run config (vectors at full precision) and carries SHA-256 hashes
-of every grid section.
+0xFFFF meaning unmatched; a canonical UTF-8 JSON manifest {"config",
+"reports"} (vectors at full precision); and, as the last 32 bytes, the
+SHA-256 of every byte before it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,6 @@ from eqdec.window import CosetWindow
 
 __all__ = [
     "PieceMap",
-    "Manifest",
     "save_run",
     "load_run",
     "render_pieces",
@@ -34,8 +34,9 @@ __all__ = [
     "NONE_PIECE",
 ]
 
-MAGIC = b"EQDC0001"
+MAGIC = b"EQDC0002"
 NONE_PIECE = 0xFFFF
+DIGEST_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -56,25 +57,6 @@ class PieceMap:
             )
         idx = np.where(m.a_match >= 0, m.a_match, NONE_PIECE).astype(np.uint16)
         return PieceMap(window=m.rect, m_cap=m.m_cap, indices=idx)
-
-
-@dataclass
-class Manifest:
-    """Run-config echo plus content hashes; reproducible bit for bit."""
-
-    config: dict
-    hashes: dict
-    reports: list
-    format_version: int = 1
-
-    def to_json_bytes(self) -> bytes:
-        doc = {
-            "format_version": self.format_version,
-            "config": self.config,
-            "hashes": self.hashes,
-            "reports": self.reports,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _pack_bits(bits: np.ndarray) -> bytes:
@@ -116,21 +98,16 @@ def save_run(path, win: CosetWindow, m: Matching, reports=None, extra_config=Non
     config = {"system": _sys_to_config(win.sys, win.base)}
     if extra_config:
         config.update(extra_config)
-    manifest = Manifest(
-        config=config,
-        hashes={
-            "a_bits": hashlib.sha256(a_bytes).hexdigest(),
-            "b_bits": hashlib.sha256(b_bytes).hexdigest(),
-            "pieces": hashlib.sha256(piece_bytes).hexdigest(),
-        },
-        reports=reports or [],
-    )
-    payload = MAGIC + header + a_bytes + b_bytes + piece_bytes + manifest.to_json_bytes()
-    Path(path).write_bytes(payload)
+    manifest = json.dumps(
+        {"config": config, "reports": reports or []}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    payload = MAGIC + header + a_bytes + b_bytes + piece_bytes + manifest
+    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
 
 
 def load_run(path):
-    """Read an EQDC container back; hash mismatches and truncation raise."""
+    """Read an EQDC container back; a bad digest, truncation or an
+    inconsistent header or manifest raises LoadError."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -152,28 +129,25 @@ def load_run(path):
         raise LoadError("file truncated inside header") from e
     except ArgumentError as e:
         raise LoadError(f"header window malformed: {e}") from e
-    rows = int(np.prod(sides[:-1]))
-    grid_bytes = rows * ((sides[-1] + 7) // 8)
-    piece_bytes = int(np.prod(sides)) * 2
-    need = pos + 2 * grid_bytes + piece_bytes
-    if len(data) < need:
+    grid_bytes = math.prod(sides[:-1]) * ((sides[-1] + 7) // 8)
+    piece_bytes = math.prod(sides) * 2
+    if len(data) < pos + 2 * grid_bytes + piece_bytes + DIGEST_BYTES:
         raise LoadError("file truncated inside grids")
-    a_raw = data[pos : pos + grid_bytes]
+    body = data[:-DIGEST_BYTES]
+    if hashlib.sha256(body).digest() != data[-DIGEST_BYTES:]:
+        raise LoadError("hash mismatch: file digest differs from its contents")
+    a_raw = body[pos : pos + grid_bytes]
     pos += grid_bytes
-    b_raw = data[pos : pos + grid_bytes]
+    b_raw = body[pos : pos + grid_bytes]
     pos += grid_bytes
-    p_raw = data[pos : pos + piece_bytes]
+    p_raw = body[pos : pos + piece_bytes]
     pos += piece_bytes
     try:
-        manifest = json.loads(data[pos:].decode("utf-8"))
+        manifest = json.loads(body[pos:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise LoadError("manifest unreadable") from e
-    hashes = manifest.get("hashes") if isinstance(manifest, dict) else None
-    if not isinstance(hashes, dict):
-        raise LoadError("manifest is not an object with section hashes")
-    for name, raw in (("a_bits", a_raw), ("b_bits", b_raw), ("pieces", p_raw)):
-        if hashlib.sha256(raw).hexdigest() != hashes.get(name):
-            raise LoadError(f"hash mismatch in section {name}")
+    if not isinstance(manifest, dict):
+        raise LoadError("manifest is not an object")
     try:
         sys_cfg = manifest["config"]["system"]
         vectors = np.array(

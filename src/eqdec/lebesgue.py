@@ -21,7 +21,6 @@ from eqdec.lattice import CellSet, Rect, rect_tree_boxes
 from eqdec.matching import (
     Matching,
     _augment_regions,
-    _layered_bfs,
     greedy_offset_pass,
 )
 from eqdec.window import CosetWindow, build_sparse_coloring, greedy_sparse_net
@@ -377,25 +376,25 @@ def rematch_dirty_cubes(m: Matching, dom: GridDomain, prev: GridDomain, win: Cos
 
 
 def _refine_all(
-    m: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow, clean_ids
+    m: Matching, dom: GridDomain, prev: GridDomain, win: CosetWindow, dirty_ids
 ) -> None:
     """Align each clean cube's matching with the inherited finer grid, then
     make it maximum by bounded-length augmentation, level by level.
 
-    Edits ``m`` in place, in the clean cubes' cells only, and returns
-    nothing; raises on a dirty cube. A clean cube lies inside one previous
-    Voronoi cell, so it inherits that seed's n_prev-grid; ``rect_tree_boxes``
-    gives each tree level's node boxes for all clean cubes at once. Basic
-    rectangles that are not cubes of the previous domain get fresh canonical
-    matchings first, all in one batch (``_match_regions``). Then each tree level, fine to coarse, is one batch of
-    length-capped augmentation over its nodes in every clean cube: all trees
+    The clean cubes are all cubes but ``dirty_ids``, the indices that
+    ``rematch_dirty_cubes`` returned. Edits ``m`` in place, in the clean
+    cubes' cells only, and returns nothing. A clean cube lies inside one
+    previous Voronoi cell, so it inherits that seed's n_prev-grid;
+    ``rect_tree_boxes`` gives each tree level's node boxes for all clean
+    cubes at once. Basic rectangles that are not cubes of the previous
+    domain get fresh canonical matchings first, all in one batch
+    (``_match_regions``). Then each tree level, fine to coarse, is one batch
+    of length-capped augmentation over its nodes in every clean cube: all trees
     share the height log2(N / n_prev), so a level's nodes share one cap.
     Cubes are disjoint, so batching across them leaves each cube as if it
     had been refined alone.
     """
-    clean_ids = np.asarray(clean_ids, dtype=np.int64)
-    if np.isin(clean_ids, _dirty_cubes(dom, prev)).any():
-        raise ArgumentError("refine requires a clean cube")
+    clean_ids = np.setdiff1d(np.arange(len(dom.cube_lows)), dirty_ids)
     n_prev = prev.n_cube
     win_low = np.array(win.window.low)
     lows = dom.cube_lows[clean_ids]
@@ -438,21 +437,14 @@ def margin_core(schedule: GridSchedule, levels: int, m_cap: int) -> int:
 
 
 def _no_short_augmenting_path(win: CosetWindow, dom: GridDomain, m: Matching) -> bool:
-    a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
-    for ci in range(len(dom.cube_lows)):
-        sl = dom.cube_rect(ci).slices_in(win.window)
-        bfs = _layered_bfs(
-            a_bits[sl],
-            b_bits[sl],
-            m.a_match[sl],
-            m.b_match[sl],
-            m.offsets,
-            m.m_cap,
-            max(dom.cube_rect(ci).sides),
-        )
-        if bfs.ends is not None:
-            return False
-    return True
+    """No cube holds an augmenting path of length at most its side: one capped
+    augmentation of every cube, on copies, flips nothing."""
+    a_match, b_match = m.a_match.copy(), m.b_match.copy()
+    lows, sides = _cube_boxes(dom, win.window)
+    _augment_regions(
+        win.a_bits.bits, win.b_bits.bits, a_match, b_match, m.m_cap, lows, sides, dom.n_cube
+    )
+    return np.array_equal(a_match, m.a_match) and np.array_equal(b_match, m.b_match)
 
 
 def run_pipeline(
@@ -489,7 +481,7 @@ def run_pipeline(
             dirty = rematch_dirty_cubes(m, dom, prev, win)
             is_dirty = np.zeros(len(dom.cube_lows), dtype=bool)
             is_dirty[dirty] = True
-            _refine_all(m, dom, prev, win, np.flatnonzero(~is_dirty))
+            _refine_all(m, dom, prev, win, dirty)
             # rematch edits only dirty cubes, refine only clean ones, and no
             # uncovered cell is matched after the prune
             per_cube = np.bincount(dom.cube_id[snap != m.a_match], minlength=len(is_dirty))

@@ -268,7 +268,7 @@ def test_covering_answers_equal_the_max_flow_oracle(m_cap):
                 rest = req.copy()
                 rest[cell] = False
                 want = scipy_max_matching_size(rest, right, m_cap) == int(rest.sum())
-                assert cov.feasible_without_left(cell, offsets) == want
+                assert cov.feasible_without_left(cell) == want
                 seen.add(("left", cov.ok, want))
             assert np.array_equal(cov.lmatch, before[0])
             assert np.array_equal(cov.rmatch, before[1])

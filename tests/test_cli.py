@@ -14,8 +14,9 @@ import eqdec
 from eqdec import baire
 from eqdec.baire import build_nets
 from eqdec.cli import main, sub_seed
-from eqdec.io_render import load_run
+from eqdec.io_render import DIGEST_BYTES, MAGIC, load_run
 from eqdec.matching import HallCertificate
+from test_io_render import LOW_AT, reseal
 
 
 def run_cli(*args):
@@ -111,63 +112,70 @@ def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
     assert "missing.eqdc" in line
 
 
-@pytest.mark.parametrize("tamper", ["no-system", "header-m7", "shape-key"])
-def test_verify_malformed_run_is_one_line_fail(tmp_path, tamper):
+# each tamper and the start of the FAIL line it must give; the first three
+# recompute the digest, so that the check behind it sees the edit
+TAMPERS = {
+    "no-system": "FAIL: manifest system config malformed",
+    "header-m7": "FAIL: header (d, k, M)",
+    "shape-key": "FAIL: disk shape lacks the key",
+    "header-low": "FAIL: hash mismatch",
+    "report": "FAIL: hash mismatch",
+}
+
+
+@pytest.mark.parametrize("tamper, expect", TAMPERS.items(), ids=TAMPERS.keys())
+def test_verify_malformed_run_is_one_line_fail(tmp_path, tamper, expect):
     out = tmp_path / "sq"
     assert run_cli("square", "--window", 64, "--seed", 3, "--out", out, "--ladder", "8") == 0
     raw = (out / "square.eqdc").read_bytes()
     if tamper == "header-m7":
-        raw = raw[:16] + struct.pack("<I", 7) + raw[20:]
+        raw = reseal(raw[:16] + struct.pack("<I", 7) + raw[20:])
+    elif tamper == "header-low":
+        raw = raw[:LOW_AT] + struct.pack("<q", 5) + raw[LOW_AT + 8 :]
+    elif tamper == "report":
+        old = b'"unmatched_fraction":'
+        at = raw.index(old) + len(old)
+        raw = raw[:at] + b"0.0" + raw[raw.index(b",", at) :]
     else:
         pos = raw.rindex(b'{"config":')
-        manifest = json.loads(raw[pos:])
+        manifest = json.loads(raw[pos:-DIGEST_BYTES])
         if tamper == "no-system":
             del manifest["config"]["system"]
         else:
             del manifest["config"]["shape_a"]["radius"]
-        raw = raw[:pos] + json.dumps(manifest).encode()
+        raw = reseal(raw[:pos] + json.dumps(manifest).encode() + raw[-DIGEST_BYTES:])
     bad = tmp_path / "bad.eqdc"
     bad.write_bytes(raw)
     proc = _cli_process("verify", bad)
     assert proc.returncode == 1
     text = proc.stdout + proc.stderr
     assert "Traceback" not in text
-    assert len(text.splitlines()) == 1 and proc.stdout.startswith("FAIL: ")
+    assert len(text.splitlines()) == 1 and proc.stdout.startswith(expect)
 
 
-def test_verify_catches_double_matched_cell(tmp_path):
+def test_verify_catches_double_matched_cell(tmp_path, capsys):
     out = tmp_path / "sq"
     assert run_cli("square", "--window", 64, "--seed", 3, "--out", out, "--ladder", "8") == 0
-    eqdc = out / "square.eqdc"
-    from eqdec.io_render import MAGIC
-
-    raw = bytearray(eqdc.read_bytes())
-    # piece grid starts after magic, header, and two packed bit grids
-    grid_bytes = 64 * (64 // 8)
-    base = len(MAGIC) + 16 + 16 + 2 * grid_bytes
-    pieces = np.frombuffer(bytes(raw[base : base + 64 * 64 * 2]), dtype="<u2").reshape(64, 64).copy()
+    raw = (out / "square.eqdc").read_bytes()
+    # the piece grid follows magic, d/k/M/flags, low and sides, and two bit grids
+    d, _k, m_cap, _flags = struct.unpack_from("<IIII", raw, len(MAGIC))
+    sides = struct.unpack_from(f"<{d}q", raw, len(MAGIC) + 16 + 8 * d)
+    base = len(MAGIC) + 16 + 16 * d + 2 * sides[0] * ((sides[1] + 7) // 8)
+    end = base + 2 * sides[0] * sides[1]
+    pieces = np.frombuffer(raw[base:end], dtype="<u2").reshape(sides).copy()
     matched = np.argwhere(pieces != 0xFFFF)
-    # send two A-cells to one target: give cell2 the offset that lands on cell1's target
-    c1, c2 = matched[0], matched[1]
-    k1 = int(pieces[tuple(c1)])
-    target = c1 + _offset(k1, 8)
-    delta = target - c2
-    if np.abs(delta).max() <= 8:
-        k2 = int((delta[0] + 8) * 17 + delta[1] + 8)
-        pieces[tuple(c2)] = k2
-        # keep the grid-section hash honest so only injectivity trips
-        import hashlib
-        import json as js
-
-        piece_bytes = pieces.astype("<u2").tobytes()
-        manifest = js.loads(bytes(raw[base + len(piece_bytes) :]).decode())
-        manifest["hashes"]["pieces"] = hashlib.sha256(piece_bytes).hexdigest()
-        blob = bytes(raw[:base]) + piece_bytes + js.dumps(
-            manifest, sort_keys=True, separators=(",", ":")
-        ).encode()
-        bad = out / "double.eqdc"
-        bad.write_bytes(blob)
-        assert run_cli("verify", bad) == 1
+    # send a second A-cell to the first one's target
+    c1 = matched[0]
+    target = c1 + _offset(int(pieces[tuple(c1)]), m_cap)
+    near = [c for c in matched[1:] if np.abs(target - c).max() <= m_cap]
+    assert near, "no second matched A-cell within M of the first one's target"
+    delta = target - near[0]
+    pieces[tuple(near[0])] = (delta[0] + m_cap) * (2 * m_cap + 1) + delta[1] + m_cap
+    bad = out / "double.eqdc"
+    bad.write_bytes(reseal(raw[:base] + pieces.astype("<u2").tobytes() + raw[end:]))
+    capsys.readouterr()
+    assert run_cli("verify", bad) == 1
+    assert capsys.readouterr().out.startswith("FAIL: stored pieces map two cells to one target")
 
 
 def _offset(k, m_cap):

@@ -7,6 +7,7 @@ import pytest
 
 from eqdec.errors import ArgumentError, LoadError
 from eqdec.io_render import (
+    DIGEST_BYTES,
     PieceMap,
     load_run,
     piece_palette,
@@ -30,6 +31,13 @@ def small_run(side=64, seed=7):
     sched = build_schedule(win, (8,), levels=0)
     res = run_pipeline(win, sched, 0)
     return win, res.matching
+
+
+def reseal(raw: bytes) -> bytes:
+    """Replace a file's trailing digest with the SHA-256 of its edited body, so
+    that a load check behind the digest sees the edit."""
+    body = raw[:-DIGEST_BYTES]
+    return body + hashlib.sha256(body).digest()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -121,14 +129,51 @@ def test_malformed_header_or_manifest_rejected(tmp_path, header, edit, match):
     if header is not None:
         at, fmt, value = header
         raw = raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt) :]
-    pos = raw.rindex(b'{"config":')  # the manifest runs to end of file
-    manifest = json.loads(raw[pos:])
+    pos = raw.rindex(b'{"config":')  # the manifest runs up to the digest
+    manifest = json.loads(raw[pos:-DIGEST_BYTES])
     if edit is not None:
         manifest = edit(manifest)
     bad = tmp_path / "bad.eqdc"
-    bad.write_bytes(raw[:pos] + json.dumps(manifest).encode())
+    bad.write_bytes(reseal(raw[:pos] + json.dumps(manifest).encode() + raw[-DIGEST_BYTES:]))
     with pytest.raises(LoadError, match=match):
         load_run(bad)
+
+
+LOW_AT = 24  # the window's low corner follows magic, d, k, M and flags
+
+
+@pytest.mark.parametrize("edit", ["header-low", "report"])
+def test_edit_without_new_digest_rejected(tmp_path, edit):
+    win, m = small_run()
+    path = tmp_path / "run.eqdc"
+    save_run(path, win, m, reports=[{"level": 0, "unmatched_fraction": 0.25}])
+    raw = path.read_bytes()
+    if edit == "header-low":
+        raw = raw[:LOW_AT] + struct.pack("<q", 5) + raw[LOW_AT + 8 :]
+    else:
+        raw = raw.replace(b'"unmatched_fraction":0.25', b'"unmatched_fraction":0.0')
+    assert raw != path.read_bytes()
+    bad = tmp_path / "bad.eqdc"
+    bad.write_bytes(raw)
+    with pytest.raises(LoadError, match="hash mismatch"):
+        load_run(bad)
+
+
+def test_every_byte_flip_and_truncation_rejected(tmp_path):
+    win, m = small_run(side=56)
+    path = tmp_path / "run.eqdc"
+    save_run(path, win, m, reports=[{"level": 0}])
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.eqdc"
+    cases = [raw[:n] for n in range(len(raw))]
+    for pos in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[pos] ^= 0xFF
+        cases.append(bytes(flipped))
+    for case in cases:
+        bad.write_bytes(case)
+        with pytest.raises(LoadError):
+            load_run(bad)
 
 
 def test_piece_count_bound():

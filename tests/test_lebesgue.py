@@ -301,10 +301,8 @@ def test_rematch_and_refine_reach_per_cube_maximum():
     dirty = rematch_dirty_cubes(m, dom1, dom0, win)
     m.validate(win.a_bits.bits, win.b_bits.bits)
     assert (m.a_match != pruned.a_match).any()
-    dirty_set = set(dirty.tolist())
-    clean_ids = [ci for ci in range(len(dom1.cube_lows)) if ci not in dirty_set]
-    assert len(dirty) and len(clean_ids)
-    _refine_all(m, dom1, dom0, win, clean_ids)
+    assert 0 < len(dirty) < len(dom1.cube_lows)
+    _refine_all(m, dom1, dom0, win, dirty)
     m.validate(win.a_bits.bits, win.b_bits.bits)
     for ci in range(len(dom1.cube_lows)):
         rect = dom1.cube_rect(ci)
@@ -334,7 +332,7 @@ def test_refine_single_flip_instance():
     prune_cross_cube(m, dom1)
     dirty = rematch_dirty_cubes(m, dom1, dom0, win)
     assert len(dirty) == 0
-    _refine_all(m, dom1, dom0, win, [0])
+    _refine_all(m, dom1, dom0, win, dirty)
     assert m.size() == 1
     assert m.partner_of((1, 3)) == (1, 5)
 
@@ -348,25 +346,23 @@ def test_refine_without_clean_cubes_changes_nothing():
     prune_cross_cube(m, dom1)
     rematch_dirty_cubes(m, dom1, dom0, win)
     before = m.copy()
-    _refine_all(m, dom1, dom0, win, [])  # every cube counted dirty
+    _refine_all(m, dom1, dom0, win, np.arange(len(dom1.cube_lows)))  # all dirty
     assert np.array_equal(m.a_match, before.a_match)
     assert np.array_equal(m.b_match, before.b_match)
 
 
-def test_refine_requires_clean_cube():
-    win = _window(64)
-    # a level-0 net of sparsity 32 gives several level-0 cells, so dirty cubes
-    sched = build_schedule(win, (4, 16, 32), levels=1)
-    vor0 = integer_voronoi(sched.seeds[0], win.window)
-    dom0 = grid_domain(sched.seeds[0], 4, vor0, win.window, 0)
-    m = init_m0(win, dom0)
-    vor1 = integer_voronoi(sched.seeds[1], win.window)
-    dom1 = grid_domain(sched.seeds[1], 16, vor1, win.window, 1)
-    prune_cross_cube(m, dom1)
-    dirty = rematch_dirty_cubes(m.copy(), dom1, dom0, win)
-    assert len(dirty)
-    with pytest.raises(ArgumentError):
-        _refine_all(m, dom1, dom0, win, [int(dirty[0])])
+def test_short_path_check_sees_a_dropped_edge():
+    win = _window(128)
+    sched = build_schedule(win, (4, 16), levels=0)
+    dom = grid_domain(sched.seeds[0], 4, integer_voronoi(sched.seeds[0], win.window), win.window, 0)
+    m = init_m0(win, dom)  # maximum inside every cube
+    assert lebesgue._no_short_augmenting_path(win, dom, m)
+    a, b = m.pairs()[len(m.pairs()) // 2] - np.array(win.window.low)
+    m.a_match[tuple(a)] = m.b_match[tuple(b)] = -1
+    before = m.copy()
+    assert not lebesgue._no_short_augmenting_path(win, dom, m)
+    assert np.array_equal(m.a_match, before.a_match)
+    assert np.array_equal(m.b_match, before.b_match)
 
 
 def test_run_pipeline_identity_instance():

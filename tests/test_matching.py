@@ -275,8 +275,8 @@ def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
 
 
 def test_hierarchy_augment_reaches_maximum_from_a_partial_matching():
-    # the step _Covering.feasible_without_left takes: sweeps to a maximum
-    # from a matching that is neither empty nor greedy-built
+    # sweeps reach a maximum from any matching, not only from the greedy
+    # pass that ladder_max_matching runs first
     rng = np.random.default_rng(31)
     flipped = 0
     for d, side in ((1, 300), (2, 40), (3, 12)):
