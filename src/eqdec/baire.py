@@ -143,7 +143,7 @@ class _Covering:
         self.m_cap = m_cap
         self.ok, self.lmatch, self.rmatch, self.witness = cover_side(left_req, right_avail, m_cap)
 
-    def feasible_without_right(self, cell, offsets) -> bool:
+    def feasible_without_right(self, cell) -> bool:
         """Feasibility after removing one right-side cell: with a full cover, one
         sweep from the freed partner flips a path exactly when one exists."""
         if not self.ok:
@@ -151,7 +151,8 @@ class _Covering:
         k = int(self.rmatch[cell])
         if k < 0:
             return True
-        left = tuple(int(c - o) for c, o in zip(cell, offsets[k]))
+        offset = offsets_row_major(self.m_cap, self.left_req.ndim)[k]
+        left = tuple(int(c - o) for c, o in zip(cell, offset))
         lm, rm = self.lmatch.copy(), self.rmatch.copy()
         lm[left] = -1
         rm[cell] = -1
@@ -202,7 +203,6 @@ class _OracleContext:
         ball = np.zeros(region.sides, dtype=bool)
         ball[tuple(slice(reach - horizon, reach + horizon + 1) for _ in range(win.d))] = True
         self.a_in, self.b_in = a_in, b_in
-        self.offsets = offsets_row_major(m_cap, win.d)
         req_a, req_b = a_in & ball, b_in & ball
         self.cover_a = _Covering(req_a, b_in, m_cap)  # required A into B
         self.cover_b = _Covering(req_b, a_in, m_cap)  # required B into A
@@ -216,15 +216,14 @@ class _OracleContext:
             own, other, free = self.cover_b, self.cover_a, self.a_in
         if not free[p]:
             return False
-        off = self.offsets
-        return own.feasible_without_right(p, off) and other.feasible_without_left(p)
+        return own.feasible_without_right(p) and other.feasible_without_left(p)
 
 
 class _GlobalCover:
     """Stub with no run path: the benchmark tracer (``perfbench/layertrace.py``)
     still lists ``_GlobalCover.refresh``, the window-wide warm start that the
-    Baire covers no longer take, by name. It goes when the tracer moves to
-    span names (ROADMAP.md, item 1)."""
+    Baire covers no longer take, by name. It goes when the tracer names
+    spans rather than callables."""
 
     def refresh(self, m: Matching):
         raise NotImplementedError("_GlobalCover is a stub with no run path")

@@ -46,13 +46,14 @@ def sub_seed(seed: int, label: str) -> int:
     )
 
 
-_INT_KEYS = (
-    "seed", "window", "k", "d", "m_cap", "levels", "horizon_factor", "i_max",
-    "candidate_cap", "net_cap", "samples", "threads",
-)
+# least value of every integer config key
+_INT_FLOORS = {
+    "seed": 0, "window": 1, "k": 1, "d": 2, "m_cap": 1, "levels": 0, "horizon_factor": 0,
+    "i_max": 0, "candidate_cap": 0, "net_cap": 0, "samples": 1, "threads": 1,
+}
 # JSON type of every config key a command reads; (t,) is a list of t
 _CONFIG_TYPES = {
-    **dict.fromkeys(_INT_KEYS, int),
+    **dict.fromkeys(_INT_FLOORS, int),
     **dict.fromkeys(("ladder", "radii"), (int,)),
     **dict.fromkeys(("eps_ladder", "base"), (float,)),
     **dict.fromkeys(("shape_a", "shape_b"), dict),
@@ -75,9 +76,15 @@ def int_list(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+def _check_floor(key: str, value: int) -> None:
+    if value < _INT_FLOORS[key]:
+        raise ArgumentError(f"{key!r} must be at least {_INT_FLOORS[key]}, got {value}")
+
+
 def load_config(args) -> dict:
     """The config file merged with the command-line flags, with every key a
-    command reads checked for its JSON type (ArgumentError otherwise)."""
+    command reads checked for its JSON type and every integer key for its
+    floor (ArgumentError otherwise)."""
     cfg = {}
     if args.config:
         try:
@@ -99,10 +106,15 @@ def load_config(args) -> dict:
     cfg.setdefault("out", "runs")
     for key, value in cfg.items():
         want = _CONFIG_TYPES.get(key)
-        if want is None or _has_type(value, want):
+        if want is None:
             continue
-        name = f"list of {_TYPE_NAMES[want[0]]}" if isinstance(want, tuple) else _TYPE_NAMES[want]
-        raise ArgumentError(f"config key {key!r} must be a JSON {name}, got {value!r}")
+        if not _has_type(value, want):
+            name = (
+                f"list of {_TYPE_NAMES[want[0]]}" if isinstance(want, tuple) else _TYPE_NAMES[want]
+            )
+            raise ArgumentError(f"config key {key!r} must be a JSON {name}, got {value!r}")
+        if want is int:
+            _check_floor(key, value)
     return cfg
 
 
@@ -314,6 +326,7 @@ def cmd_lemma_tests(args) -> int:
         if name not in SUITES:
             raise ArgumentError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     seed = args.seed if args.seed is not None else 7
+    _check_floor("seed", seed)
     failures = 0
     for name in names:
         ok, details = run_suite(name, int(seed))

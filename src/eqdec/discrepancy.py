@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +62,6 @@ class DiscrepancyProfile:
         for s, m in zip(self.scales, self.max_dev):
             w.writerow([s, repr(m)])
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "scales": list(self.scales),
-                "max_dev": list(self.max_dev),
-                "fitted_exponent": self.fitted_exponent,
-                "fit_range": list(self.fit_range),
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def block_sums(arr: np.ndarray, size: int) -> np.ndarray:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ from eqdec.torus import FreeVectorSystem, TorusPoint
 from eqdec.window import CosetWindow
 
 __all__ = [
-    "PieceMap",
     "save_run",
     "load_run",
     "render_pieces",
@@ -37,26 +35,6 @@ __all__ = [
 MAGIC = b"EQDC0002"
 NONE_PIECE = 0xFFFF
 DIGEST_BYTES = 32
-
-
-@dataclass(frozen=True)
-class PieceMap:
-    """Per-cell piece indices: the row-major offset index of each matched
-    A-cell's displacement, NONE_PIECE elsewhere."""
-
-    window: Rect
-    m_cap: int
-    indices: np.ndarray  # uint16 grid
-
-    @staticmethod
-    def from_matching(m: Matching) -> "PieceMap":
-        count = (2 * m.m_cap + 1) ** m.d
-        if count >= NONE_PIECE:
-            raise ArgumentError(
-                f"piece count {count} needs more than 16 bits (d={m.d}, M={m.m_cap})"
-            )
-        idx = np.where(m.a_match >= 0, m.a_match, NONE_PIECE).astype(np.uint16)
-        return PieceMap(window=m.rect, m_cap=m.m_cap, indices=idx)
 
 
 def _pack_bits(bits: np.ndarray) -> bytes:
@@ -87,14 +65,16 @@ def save_run(path, win: CosetWindow, m: Matching, reports=None, extra_config=Non
     """Write the EQDC container for a window plus matching."""
     if m.rect != win.window:
         raise ArgumentError("matching must live on the window rect")
-    pm = PieceMap.from_matching(m)
+    count = (2 * m.m_cap + 1) ** m.d
+    if count >= NONE_PIECE:
+        raise ArgumentError(f"piece count {count} needs more than 16 bits (d={m.d}, M={m.m_cap})")
     d = win.d
     header = struct.pack("<IIII", d, win.sys.k, win.sys.m_cap, 0)
     header += struct.pack(f"<{d}q", *win.window.low)
     header += struct.pack(f"<{d}q", *win.window.sides)
     a_bytes = _pack_bits(win.a_bits.bits)
     b_bytes = _pack_bits(win.b_bits.bits)
-    piece_bytes = pm.indices.astype("<u2").tobytes()
+    piece_bytes = np.where(m.a_match >= 0, m.a_match, NONE_PIECE).astype("<u2").tobytes()
     config = {"system": _sys_to_config(win.sys, win.base)}
     if extra_config:
         config.update(extra_config)

@@ -68,13 +68,6 @@ class GridDomain:
     cube_lows: np.ndarray = field(repr=False)  # (n_cubes, d) absolute corners
     cube_seed: np.ndarray = field(repr=False)  # (n_cubes,) owning seed index
 
-    @property
-    def uncovered(self) -> CellSet:
-        return CellSet(self.rect, self.cube_id < 0)
-
-    def cube_rect(self, ci: int) -> Rect:
-        return Rect(tuple(int(x) for x in self.cube_lows[ci]), (self.n_cube,) * self.rect.d)
-
 
 @dataclass(frozen=True)
 class IterationReport:
@@ -91,14 +84,6 @@ class IterationReport:
     cube_discrepancy_mean: float
     unmatched_exceeds_discrepancy: int  # cubes where unmatched > D(Q)
     two_sided_cubes: int  # cubes with unmatched cells in both parts
-
-    def changed_fractions(self):
-        v = self.window_volume
-        return (
-            self.changed_prune / v,
-            self.changed_rematch / v,
-            self.changed_refine / v,
-        )
 
 
 @dataclass

@@ -15,10 +15,14 @@ a consistently maintained inverse map. The engine answers three questions:
   the Baire side calls them, whose checks read a verdict that every maximum
   matching gives alike;
 - can one side be covered into the other, with a Hall-deficient witness
-  when not: ``cover_side``, which ``hall_deficiency`` runs for both sides;
+  when not: ``cover_side``, which ``hall_deficiency`` runs for both sides.
+  It runs ``ladder_max_matching`` and, when a required cell stays free,
+  reads the witness off one more forest sweep, which flips nothing and
+  labels the alternating-reachable cells. So the Baire side reaches the
+  engine only through ``greedy_offset_pass`` and ``_forest_sweep``;
 - length-capped augmentation: a phase flips vertex-disjoint shortest
   augmenting paths no longer than its cap; ``_layered_bfs`` alone says
-  whether one exists.
+  whether one exists. It serves only the square side and the property suites.
 
 Phases run over packed regions: ``_augment_regions`` stacks every region of
 a pass still active into bounded packs along axis 0, M empty rows apart, and
@@ -109,19 +113,6 @@ class Matching:
         a_idx = np.argwhere(self.a_match >= 0)
         ks = self.a_match[tuple(a_idx.T)]
         return a_idx, ks, a_idx + self.offsets[ks]
-
-    def pairs(self) -> np.ndarray:
-        """(n, 2, d) array of matched (a, b) cells in absolute coordinates."""
-        a_idx, _, b_idx = self.edges()
-        low = np.array(self.rect.low)
-        return np.stack([a_idx + low, b_idx + low], axis=1)
-
-    def partner_of(self, cell) -> tuple | None:
-        idx = tuple(c - l for c, l in zip(cell, self.rect.low))
-        k = int(self.a_match[idx])
-        if k < 0:
-            return None
-        return tuple(int(c + o) for c, o in zip(cell, self.offsets[k]))
 
     def validate(self, a_bits: np.ndarray | None = None, b_bits: np.ndarray | None = None):
         """Raise unless the stored maps form a consistent partial injection."""
@@ -542,13 +533,19 @@ def _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):
     (Pothen and Fan, ACM TOMS 16(4), 1990; Azad, Buluç and Pothen, IEEE TPDS
     28(1), 2017). The match grids may be views: they are written only
     through index tuples. ``labels`` is int32 scratch of shape
-    ``(2,) + a_bits.shape``, overwritten. A sweep that flips nothing
-    certifies a maximum matching, since no tree then stopped early and the
-    forest reached every cell an augmenting path could reach.
+    ``(2,) + a_bits.shape``, overwritten: ``labels[0]`` holds each reached
+    A-cell's tree, ``labels[1]`` each reached B-cell's parent, -1 elsewhere.
+    A sweep that flips nothing certifies a maximum matching, since no tree
+    then stopped early and the forest reached every cell an augmenting path
+    could reach; ``labels[0] >= 0`` then marks exactly the A-cells that
+    alternating paths reach from the free ones, a Hall-deficient set when
+    no matched edge leaves the arrays. The forest grows even when no B-cell
+    is free, so that this labelling is complete; only a sweep with no free
+    A-cell returns before it.
     """
     shape = a_bits.shape
     roots = a_bits & (a_match < 0)
-    if not roots.any() or not (b_bits & (b_match < 0)).any():
+    if not roots.any():
         return 0
     offsets = offsets_row_major(m_cap, a_bits.ndim)
     box = (2 * m_cap + 1,) * a_bits.ndim
@@ -650,10 +647,11 @@ def cover_side(a_in, b_in, m_cap):
     ladder_max_matching(a_in, b_in, a_match, b_match, m_cap)
     if not (a_in & (a_match < 0)).any():
         return True, a_match, b_match, None
-    offsets = offsets_row_major(m_cap, a_in.ndim)
-    bfs = _layered_bfs(a_in, b_in, a_match, b_match, offsets, m_cap, 2 * a_in.size + 1)
-    # no augmenting path exists, so reached cells form a deficient witness
-    return False, a_match, b_match, bfs.layer_a >= 0
+    # the matching is maximum, so this sweep flips nothing and its forest
+    # holds exactly the cells that alternating paths reach from free ones
+    labels = np.empty((2,) + a_in.shape, dtype=np.int32)
+    _forest_sweep(a_in, b_in, a_match, b_match, m_cap, labels)
+    return False, a_match, b_match, labels[0] >= 0
 
 
 def hall_deficiency(win: CosetWindow, R: Rect, required_a: CellSet, required_b: CellSet):

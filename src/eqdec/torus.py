@@ -62,11 +62,6 @@ class TorusPoint:
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=np.float64)
 
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        if self.k != other.k:
-            raise ArgumentError("dimension mismatch")
-        return TorusPoint(_mod1(self.array() + other.array()))
-
 
 @dataclass(frozen=True)
 class FreeVectorSystem:
@@ -140,9 +135,6 @@ class Shape:
     Boundary ties follow half-open conventions; which boundary is included is
     documented per shape.
     """
-
-    def contains(self, p: TorusPoint) -> bool:
-        return bool(self.contains_batch(p.array()[None, :])[0])
 
     @property
     def dim(self) -> int:

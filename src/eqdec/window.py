@@ -111,10 +111,6 @@ class SparseColoring:
     radius: int
     min_distance: float
 
-    @property
-    def t(self) -> int:
-        return self.n_grid**self.k
-
     def color_of(self, points: np.ndarray) -> np.ndarray:
         idx = np.floor(np.asarray(points) * self.n_grid).astype(np.int64)
         np.clip(idx, 0, self.n_grid - 1, out=idx)

@@ -239,7 +239,6 @@ def test_covering_answers_equal_the_max_flow_oracle(m_cap):
     # covers (full, with no slack), and those plus one more (deficient by
     # exactly one); every answer is checked against scipy
     rng = np.random.default_rng(40 + m_cap)
-    offsets = offsets_row_major(m_cap, 2)
     seen = set()
     for _ in range(8):
         shape = tuple(int(s) for s in rng.integers(14, 21, size=2))
@@ -261,7 +260,7 @@ def test_covering_answers_equal_the_max_flow_oracle(m_cap):
                 avail = right.copy()
                 avail[cell] = False
                 want = scipy_max_matching_size(req, avail, m_cap) == n
-                assert cov.feasible_without_right(cell, offsets) == want
+                assert cov.feasible_without_right(cell) == want
                 seen.add(("right", cov.ok, want))
             for cell in rng.permutation(np.argwhere(left))[:8]:
                 cell = tuple(cell)

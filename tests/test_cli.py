@@ -100,6 +100,33 @@ def test_malformed_config_exits_2(tmp_path, command, text):
     assert proc.stderr.startswith("error: ")
 
 
+# negative integers that used to reach numpy or an index deep in a run
+NEGATIVE_INTEGERS = {
+    "square-seed": ("square", {"window": 64, "seed": -1}),
+    "baire-seed": ("baire", {"window": 64, "seed": -1}),
+    "audit-seed": ("audit", {"window": 64, "seed": -1}),
+    "baire-horizon": ("baire", {"window": 128, "radii": [4], "horizon_factor": -1}),
+    "audit-i_max": ("audit", {"window": 64, "i_max": -1}),
+    "lemma-tests-seed": ("lemma-tests", None),
+}
+
+
+@pytest.mark.parametrize(
+    "command, config", NEGATIVE_INTEGERS.values(), ids=NEGATIVE_INTEGERS.keys()
+)
+def test_negative_integer_exits_2_with_one_line(tmp_path, command, config):
+    if config is None:
+        proc = _cli_process(command, "--seed", -1)
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        proc = _cli_process(command, "--config", path, "--out", tmp_path)
+    assert proc.returncode == 2 and "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert proc.stdout == "" and len(lines) == 1
+    assert lines[0].startswith("error: ") and "must be at least 0" in lines[0]
+
+
 @pytest.mark.parametrize("command, code, stream", [("verify", 1, "stdout"), ("render", 2, "stderr")])
 def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
     proc = _cli_process(command, tmp_path / "missing.eqdc")

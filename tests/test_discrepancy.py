@@ -94,14 +94,13 @@ def test_profile_striped_bounded():
     assert np.isnan(prof.fitted_exponent) or prof.fitted_exponent <= 1.0
 
 
-def test_profile_csv_and_json():
+def test_profile_csv():
     R = Rect((0, 0), (32, 32))
     rng = np.random.default_rng(0)
     prof = profile(CellSet(R, rng.random((32, 32)) < 0.4), 0.4, R, 4)
     csv = prof.to_csv()
     assert csv.splitlines()[0] == "scale,max_dev"
     assert len(csv.splitlines()) == 6
-    assert "fitted_exponent" in prof.to_json()
 
 
 def test_budget_phi_identity():

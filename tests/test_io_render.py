@@ -8,17 +8,16 @@ import pytest
 from eqdec.errors import ArgumentError, LoadError
 from eqdec.io_render import (
     DIGEST_BYTES,
-    PieceMap,
     load_run,
     piece_palette,
     render_pieces,
     save_run,
 )
-from eqdec.lattice import Rect
+from eqdec.lattice import CellSet, Rect
 from eqdec.lebesgue import build_schedule, run_pipeline
 from eqdec.matching import Matching
 from eqdec.torus import AxisSquare, Disk, TorusPoint, sample_free_system
-from eqdec.window import extract_window
+from eqdec.window import CosetWindow, extract_window
 
 
 def small_run(side=64, seed=7):
@@ -176,24 +175,26 @@ def test_every_byte_flip_and_truncation_rejected(tmp_path):
             load_run(bad)
 
 
-def test_piece_count_bound():
-    # the sentinel 0xFFFF must stay outside the index range (2M+1)^d
-    R = Rect((0, 0), (4, 4))
-    with pytest.raises(ArgumentError):
-        PieceMap.from_matching(Matching(R, 128))  # 257^2 > 65534
-    ok = Matching(R, 127)  # 255^2 = 65025 indices, all below the sentinel
-    assert PieceMap.from_matching(ok).indices.dtype == np.uint16
-    R3 = Rect((0, 0, 0), (2, 2, 2))
-    with pytest.raises(ArgumentError):
-        PieceMap.from_matching(Matching(R3, 20))  # 41^3 > 65534
-    assert PieceMap.from_matching(Matching(R3, 19)).indices.shape == (2, 2, 2)
+def test_piece_count_bound(tmp_path):
+    # the sentinel 0xFFFF must stay outside the index range (2M+1)^d:
+    # 255^2 = 65025 and 39^3 = 59319 fit, 257^2 and 41^3 do not
+    for d, m_cap, fits in ((2, 127, True), (2, 128, False), (3, 19, True), (3, 20, False)):
+        R = Rect((0,) * d, (2,) * d)
+        bits = np.zeros(R.sides, dtype=bool)
+        sys = sample_free_system(7, 2, d, m_cap)
+        win = CosetWindow(TorusPoint([0, 0]), sys, R, CellSet(R, bits), CellSet(R, bits.copy()))
+        path = tmp_path / f"d{d}_m{m_cap}.eqdc"
+        if fits:
+            save_run(path, win, Matching(R, m_cap))
+            assert load_run(path)[1].size() == 0
+        else:
+            with pytest.raises(ArgumentError):
+                save_run(path, win, Matching(R, m_cap))
+            assert not path.exists()
 
 
 def test_save_rejects_oversized_piece_range(tmp_path):
     sys = sample_free_system(7, 2, 2, 128)
-    from eqdec.lattice import CellSet
-    from eqdec.window import CosetWindow
-
     R = Rect((0, 0), (4, 4))
     bits = np.zeros((4, 4), dtype=bool)
     win = CosetWindow(TorusPoint([0, 0]), sys, R, CellSet(R, bits), CellSet(R, bits.copy()))
@@ -245,10 +246,8 @@ def test_piece_colors_match_between_sides():
     img_b = render_pieces(win, m, side="b")
     pa = np.frombuffer(img_a.split(b"\n", 3)[3], dtype=np.uint8).reshape(64, 64, 3)
     pb = np.frombuffer(img_b.split(b"\n", 3)[3], dtype=np.uint8).reshape(64, 64, 3)
-    pairs = m.pairs()
-    low = np.array(win.window.low)
-    for a, b in pairs[:100]:
-        assert (pa[tuple(a - low)] == pb[tuple(b - low)]).all()
+    a_idx, _, b_idx = m.edges()
+    assert len(a_idx) and np.array_equal(pa[tuple(a_idx.T)], pb[tuple(b_idx.T)])
 
 
 def test_palette_deterministic():

@@ -77,11 +77,11 @@ def test_grid_domain_single_seed_tiles_window():
     owner, seeds = integer_voronoi(S, R)
     dom = grid_domain(S, 4, (owner, seeds), R)
     # seed-aligned 4-grid fits the 64-window exactly
-    assert dom.uncovered.size() == 0
+    assert not (dom.cube_id < 0).any()
     assert len(dom.cube_lows) == 256
     dom8 = grid_domain(CellSet.from_cells([(1, 1)], R), 8, integer_voronoi(CellSet.from_cells([(1, 1)], R), R), R)
     # misaligned grid leaves a frame near the window edge
-    unc = dom8.uncovered.cells()
+    unc = np.argwhere(dom8.cube_id < 0) + np.array(R.low)
     assert len(unc) > 0
     border = 8
     hi = np.array(R.high)
@@ -96,10 +96,10 @@ def test_grid_domain_bisector_gap_and_density():
     S = CellSet.from_cells([(10, 32), (34, 32)], R)
     vor = integer_voronoi(S, R)
     dom = grid_domain(S, 16, vor, R)
-    for ci in range(len(dom.cube_lows)):
-        sl = dom.cube_rect(ci).slices_in(R)
-        assert (dom.owner[sl] == dom.cube_seed[ci]).all()
-    assert dom.uncovered.size() > 0
+    covered = dom.cube_id >= 0
+    assert (np.bincount(dom.cube_id[covered]) == 16**2).all()  # whole cubes
+    assert (dom.owner[covered] == dom.cube_seed[dom.cube_id[covered]]).all()
+    assert not covered.all()
 
 
 def _grid_domain_reference(owner, seeds, n_cube, window):
@@ -141,7 +141,8 @@ def test_grid_domain_matches_whole_window_reference():
         cells = np.array(np.unravel_index(rel, sides)).T + np.array(R.low)
         S = CellSet.from_cells([tuple(int(x) for x in c) for c in cells], R)
         n_cube = int(rng.choice([1, 2, 4, 8]))
-        dist = np.abs(R.cells()[:, None, :] - S.cells()[None, :, :]).max(axis=2)
+        every = np.argwhere(np.ones(sides, dtype=bool)) + np.array(R.low)
+        dist = np.abs(every[:, None, :] - S.cells()[None, :, :]).max(axis=2)
         covering = int(dist.min(axis=1).max())
         for cover_radius in (None, covering + int(rng.integers(0, 3))):
             owner, seeds = integer_voronoi(S, R, cover_radius=cover_radius)
@@ -247,15 +248,12 @@ def test_init_m0_edges_inside_cubes_and_oracle_size():
     dom = grid_domain(sched.seeds[0], 8, vor, win.window)
     m = init_m0(win, dom)
     m.validate(win.a_bits.bits, win.b_bits.bits)
-    pairs = m.pairs()
-    low = np.array(win.window.low)
-    for a, b in pairs[:200]:
-        ca = dom.cube_id[tuple(a - low)]
-        cb = dom.cube_id[tuple(b - low)]
-        assert ca == cb and ca >= 0
+    a_idx, _, b_idx = m.edges()
+    ca = dom.cube_id[tuple(a_idx.T)]
+    assert np.all(ca == dom.cube_id[tuple(b_idx.T)]) and np.all(ca >= 0)
     # per-cube size equals the canonical per-rect matching
     for ci in (0, len(dom.cube_lows) // 2, len(dom.cube_lows) - 1):
-        rect = dom.cube_rect(ci)
+        rect = Rect(tuple(dom.cube_lows[ci].tolist()), (dom.n_cube,) * 2)
         standalone = _canonical_max_matching(win, rect)
         sl = rect.slices_in(win.window)
         assert (m.a_match[sl] >= 0).sum() == standalone.size()
@@ -280,10 +278,9 @@ def test_prune_cross_cube():
     assert pruned.size() <= m.size()
     # each dropped edge changes exactly one A-cell
     assert dropped == m.size() - pruned.size() == int((pruned.a_match != m.a_match).sum())
-    pairs = pruned.pairs()
-    low = np.array(win.window.low)
-    for a, b in pairs[:300]:
-        assert dom1.cube_id[tuple(a - low)] == dom1.cube_id[tuple(b - low)] >= 0
+    a_idx, _, b_idx = pruned.edges()
+    ca = dom1.cube_id[tuple(a_idx.T)]
+    assert np.all(ca == dom1.cube_id[tuple(b_idx.T)]) and np.all(ca >= 0)
 
 
 def test_rematch_and_refine_reach_per_cube_maximum():
@@ -305,7 +302,7 @@ def test_rematch_and_refine_reach_per_cube_maximum():
     _refine_all(m, dom1, dom0, win, dirty)
     m.validate(win.a_bits.bits, win.b_bits.bits)
     for ci in range(len(dom1.cube_lows)):
-        rect = dom1.cube_rect(ci)
+        rect = Rect(tuple(dom1.cube_lows[ci].tolist()), (dom1.n_cube,) * 2)
         sl = rect.slices_in(win.window)
         a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
         am, bm = m.a_match[sl], m.b_match[sl]
@@ -333,8 +330,8 @@ def test_refine_single_flip_instance():
     dirty = rematch_dirty_cubes(m, dom1, dom0, win)
     assert len(dirty) == 0
     _refine_all(m, dom1, dom0, win, dirty)
-    assert m.size() == 1
-    assert m.partner_of((1, 3)) == (1, 5)
+    a_idx, _, b_idx = m.edges()
+    assert a_idx.tolist() == [[1, 3]] and b_idx.tolist() == [[1, 5]]
 
 
 def test_refine_without_clean_cubes_changes_nothing():
@@ -357,7 +354,8 @@ def test_short_path_check_sees_a_dropped_edge():
     dom = grid_domain(sched.seeds[0], 4, integer_voronoi(sched.seeds[0], win.window), win.window, 0)
     m = init_m0(win, dom)  # maximum inside every cube
     assert lebesgue._no_short_augmenting_path(win, dom, m)
-    a, b = m.pairs()[len(m.pairs()) // 2] - np.array(win.window.low)
+    a_idx, _, b_idx = m.edges()
+    a, b = a_idx[len(a_idx) // 2], b_idx[len(a_idx) // 2]
     m.a_match[tuple(a)] = m.b_match[tuple(b)] = -1
     before = m.copy()
     assert not lebesgue._no_short_augmenting_path(win, dom, m)

@@ -65,8 +65,8 @@ def test_canonical_matching_trivial():
     one[1, 1] = True
     win = _bits_window(CellSet(R, one), CellSet(R, one.copy()), 2)
     m = _canonical_max_matching(win, R)
-    assert m.size() == 1
-    assert m.partner_of((1, 1)) == (1, 1)
+    a_idx, _, b_idx = m.edges()
+    assert a_idx.tolist() == b_idx.tolist() == [[1, 1]]
 
 
 def test_canonical_matching_vs_max_flow_oracle():
@@ -272,6 +272,30 @@ def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
             if not ok:  # the witness is a Hall-deficient set of A-cells
                 assert not np.any(witness & ~req)
                 assert int((dilate(witness, m_cap) & b).sum()) < int(witness.sum())
+
+
+def test_cover_side_witness_is_the_alternating_reach():
+    # on deficient covers, the forest's witness against the layered BFS from
+    # the free cells of the same maximum matching; some covers leave no
+    # B-cell free, where a sweep that stopped before growing would label
+    # nothing
+    rng = np.random.default_rng(43)
+    deficient = no_free_b = 0
+    for d, side in ((1, 40), (2, 9), (3, 5)):
+        shape = (side,) * d
+        for m_cap in (1, 2, 3):
+            offsets = offsets_row_major(m_cap, d)
+            for _ in range(40):
+                a = rng.random(shape) < rng.uniform(0.2, 0.7)
+                b = rng.random(shape) < rng.uniform(0.02, 0.4)
+                ok, am, bm, witness = cover_side(a, b, m_cap)
+                if ok:
+                    continue
+                deficient += 1
+                no_free_b += not (b & (bm < 0)).any()
+                bfs = _layered_bfs(a, b, am, bm, offsets, m_cap, 2 * a.size + 1)
+                assert np.array_equal(witness, bfs.layer_a >= 0)
+    assert no_free_b > 200 and deficient - no_free_b > 50, (deficient, no_free_b)
 
 
 def test_hierarchy_augment_reaches_maximum_from_a_partial_matching():

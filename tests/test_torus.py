@@ -140,15 +140,14 @@ def test_boundary_dimension_validation():
 def test_shape_json_round_trip():
     disk = shape_from_json({"type": "disk", "center": [0.5, 0.5], "radius": 0.2})
     assert isinstance(disk, Disk)
-    assert disk.contains(TorusPoint([0.5, 0.6]))
+    assert disk.contains_batch(np.array([[0.5, 0.6]])).tolist() == [True]
     sq = shape_from_json(disk.to_json()["type"] and {"type": "axis_square", "corner": [0.1, 0.1], "side": 0.3})
     assert isinstance(sq, AxisSquare)
     poly = shape_from_json(
         {"type": "polygon", "vertices": [[0.2, 0.2], [0.45, 0.2], [0.45, 0.45]]}
     )
     assert isinstance(poly, Polygon)
-    assert poly.contains(TorusPoint([0.4, 0.25]))
-    assert not poly.contains(TorusPoint([0.25, 0.4]))
+    assert poly.contains_batch(np.array([[0.4, 0.25], [0.25, 0.4]])).tolist() == [True, False]
     with pytest.raises(ArgumentError):
         shape_from_json({"type": "pentagon"})
 
@@ -160,7 +159,7 @@ def test_bitmap_pgm_round_trip(tmp_path):
     pgm.write_bytes(b"P5\n8 8\n255\n" + bits.tobytes())
     shape = shape_from_json({"type": "bitmap", "pgm": str(pgm)})
     assert isinstance(shape, Bitmap)
-    assert shape.contains(TorusPoint([(2 + 0.5) / 8, (3 + 0.5) / 8]))
-    assert not shape.contains(TorusPoint([0.01, 0.01]))
+    pts = np.array([[(2 + 0.5) / 8, (3 + 0.5) / 8], [0.01, 0.01]])
+    assert shape.contains_batch(pts).tolist() == [True, False]
     back = shape_from_json(shape.to_json())
     assert np.array_equal(back.bits, shape.bits)

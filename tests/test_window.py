@@ -76,12 +76,12 @@ def test_torus_coords_match_coset_point():
 def test_sparse_coloring_properties():
     sys = sample_free_system(7, 2, 2, 8)
     col = build_sparse_coloring(sys, 4)
-    assert col.t == col.n_grid**2
     assert 1.0 / col.n_grid < col.min_distance
     # sampled same-color window cells are farther apart than the radius
     R = Rect((-64, -64), (128, 128))
     coords = torus_coords(sys, TorusPoint([0.2, 0.8]), R)
     colors = col.color_of(coords)
+    assert colors.min() >= 0 and colors.max() < col.n_grid**2
     rng = np.random.default_rng(1)
     flat = colors.reshape(-1)
     order = np.argsort(flat, kind="stable")
