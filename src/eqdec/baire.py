@@ -67,8 +67,11 @@ def build_nets(
 
     Each level keeps at most ``net_cap`` part-cells, mutually more than
     r_i + 4M apart, all at least ``placement_margins[i]`` from the window
-    edge. The ball radius is the largest that makes any single ball
-    automatically sparse.
+    edge: centre by centre, each ball's cells in row-major order. The ball
+    radius is the largest that makes any single ball automatically sparse.
+    A level sorts its interior part cells by their first torus coordinate
+    once, so each ball is read off a slab of that order (``_ball_members``)
+    instead of a scan of every cell.
     """
     radii = tuple(int(r) for r in radii)
     if not radii or min(radii) < 1:
@@ -91,18 +94,18 @@ def build_nets(
             raise PrecisionError("vectors too dependent for the requested net sparsity")
         eps = min_dist / 2 * (1 - 1e-9)
         margin = int(placement_margins[level - 1])
-        interior = np.zeros(win.window.sides, dtype=bool)
-        if all(s > 2 * margin for s in win.window.sides):
-            interior[tuple(slice(margin, s - margin) for s in win.window.sides)] = True
-        part_idx = np.argwhere(part & interior)
-        part_coords = coords[tuple(part_idx.T)]
+        sl = tuple(slice(margin, s - margin) for s in win.window.sides)  # empty once margins meet
+        inner = part[sl]
+        part_idx = np.argwhere(inner) + margin
+        part_coords = coords[sl][inner]
+        order = np.argsort(part_coords[:, 0], kind="stable")
+        first = part_coords[order, 0]
         kept: list[np.ndarray] = []
         for t in range(candidate_cap):
             if len(kept) >= net_cap or len(part_idx) == 0:
                 break
             y = (y0 + t * alpha) % 1.0
-            near = torus_delta(part_coords, y).max(axis=-1) <= eps
-            for c in part_idx[near]:
+            for c in part_idx[_ball_members(order, first, part_coords, y, eps)]:
                 if len(kept) >= net_cap:
                     break
                 if all(np.abs(c - k).max() > sparsity for k in kept):
@@ -123,6 +126,28 @@ def build_nets(
         condition_partials=tuple(np.cumsum(terms).tolist()),
         condition_bound=4.0 ** (1 - d),
     )
+
+
+# Slack past ``eps`` of the first-coordinate slab in ``_ball_members``. Torus
+# coordinates lie in [0, 1), where ``torus_delta`` and the slab bounds each
+# err by a few 2^-53, far below it; the exact test then trims the slab.
+_SLAB_SLACK = 1e-12
+
+
+def _ball_members(order, first, coords, y, eps):
+    """Ascending indices of the rows of ``coords`` within torus sup-distance
+    ``eps`` of ``y``. ``order`` stable-sorts ``coords[:, 0]`` and ``first``
+    is that column in that order, so the candidates are the slab
+    |x_0 - y_0| <= eps, widened by ``_SLAB_SLACK`` and taken once per wrap
+    (x_0 near y_0 - 1, y_0 and y_0 + 1: disjoint, as eps < 1/4); the exact
+    ``torus_delta`` test keeps the members."""
+    centres = y[0] + np.array([-1.0, 0.0, 1.0])
+    starts = np.searchsorted(first, centres - (eps + _SLAB_SLACK), side="left")
+    stops = np.searchsorted(first, centres + (eps + _SLAB_SLACK), side="right")
+    idx = order[np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])]
+    idx = idx[torus_delta(coords[idx], y).max(axis=-1) <= eps]
+    idx.sort()
+    return idx
 
 
 # ---------------------------------------------------------------------------

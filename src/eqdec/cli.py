@@ -133,16 +133,27 @@ def _default_shapes(cfg):
     return shape_from_json(shape_a), shape_from_json(shape_b), shape_a, shape_b
 
 
+def _check_lengths(k, base, shapes) -> None:
+    """Every torus point a run reads has k coordinates (ArgumentError
+    otherwise): numpy would broadcast a mismatch instead of refusing it."""
+    if base is not None and len(base) != k:
+        raise ArgumentError(f"'base' has {len(base)} coordinates, but k = {k}")
+    for name, shape in shapes.items():
+        if shape.dim != k:
+            raise ArgumentError(f"{name} lies in {shape.dim} torus coordinates, but k = {k}")
+
+
 def _setup(cfg):
     """The run's window, its config echo and the two parsed shapes."""
+    shape_a, shape_b, ja, jb = _default_shapes(cfg)
+    base = cfg.get("base")
+    _check_lengths(cfg["k"], base, {"shape_a": shape_a, "shape_b": shape_b})
     seed = int(cfg["seed"])
     sys = sample_free_system(sub_seed(seed, "vectors"), cfg["k"], cfg["d"], cfg["m_cap"])
     rng = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"base")]))
-    base = cfg.get("base")
     u = TorusPoint(base if base is not None else rng.random(cfg["k"]))
     L = int(cfg.get("window", 256))
     window = Rect((-L // 2,) * cfg["d"], (L,) * cfg["d"])
-    shape_a, shape_b, ja, jb = _default_shapes(cfg)
     win = extract_window(shape_a, shape_b, sys, u, window)
     echo = dict(cfg)
     echo["shape_a"], echo["shape_b"] = ja, jb

@@ -34,11 +34,13 @@ pack, not per region, and each ends exactly as if phased alone.
 Three kernels carry most of the work. The greedy pass walks a shrinking list
 of free A-cells, as flat indices into grids padded by M, instead of sweeping
 whole arrays per offset. The A -> B step shared by the layered BFS and the
-forest (``_a_to_b``) is one int32 ``minimum_filter`` that also yields each
-reached B-cell's parent, the row-major first frontier A-cell within M. So a
-walk-back step is one lookup; the layered BFS's walk-back searches the
-(2M+1)^d patch only when the parent already lies on a path flipped in the
-same phase, and the forest's never does.
+forest (``_a_to_b``) is one int32 (2M+1)^d window-min over the frontier's
+flat indices (``_window_min``: log-step doubling of shifted ``np.minimum``
+views along each axis), which also yields each reached B-cell's parent, the
+row-major first frontier A-cell within M. So a walk-back step is one
+lookup; the layered BFS's walk-back searches the (2M+1)^d patch only when
+the parent already lies on a path flipped in the same phase, and the
+forest's never does.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import minimum_filter
 
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, dilate
@@ -214,9 +215,39 @@ class BfsLayers(NamedTuple):
     parent: np.ndarray
 
 
-# int32 on purpose: scipy passes ``cval`` through a double, and an int64-max
-# sentinel does not survive the round trip
+# int32: a window holds at most 2^26 cells, so every flat index fits, and
+# the window-min in ``_a_to_b`` moves half the bytes of an int64 grid
 _NO_PARENT = np.iinfo(np.int32).max
+
+
+def _window_min(pts, values, shape, m_cap):
+    """The (2M+1)^d sliding minimum of a grid of ``shape`` that holds
+    ``values`` at the cells ``pts`` and ``_NO_PARENT`` elsewhere and outside.
+
+    The grid is built padded by M with ``_NO_PARENT``. Each axis then takes
+    log-step doubling, one ``np.minimum`` of two shifted views per step
+    (spans 1, 2, 4, ... up to the largest power of two not above 2M + 1),
+    and one overlapping step for the rest. A minimum is exact, so the result
+    is scipy's ``minimum_filter`` with ``mode="constant"``, and only the
+    running result and its successor are alive at once.
+    """
+    width = 2 * m_cap + 1
+    out = np.full(tuple(s + 2 * m_cap for s in shape), _NO_PARENT, dtype=np.int32)
+    out[tuple((pts + m_cap).T)] = values
+    for axis, n in enumerate(shape):
+        span = 1
+        while 2 * span <= width:
+            cut = out.shape[axis] - span
+            out = np.minimum(_along(out, axis, 0, cut), _along(out, axis, span, cut))
+            span *= 2
+        if span < width:
+            out = np.minimum(_along(out, axis, 0, n), _along(out, axis, width - span, n))
+    return out
+
+
+def _along(a, axis, start, n):
+    """The view of ``a`` holding ``n`` slices from ``start`` along ``axis``."""
+    return a[(slice(None),) * axis + (slice(start, start + n),)]
 
 
 def _a_to_b(pts, b_bits, label_b, m_cap):
@@ -226,7 +257,7 @@ def _a_to_b(pts, b_bits, label_b, m_cap):
     unlabelled (``label_b`` < 0), as an (n, d) array in row-major order, and
     for each its parent, the row-major first frontier cell within M, as a
     row-major flat index into the array. Work is confined to the frontier's
-    bounding box grown by M, where one int32 ``minimum_filter`` over the
+    bounding box grown by M, where one window-min (``_window_min``) over the
     frontier's flat indices yields both: flat indices grow in row-major order.
     """
     shape = b_bits.shape
@@ -234,13 +265,12 @@ def _a_to_b(pts, b_bits, label_b, m_cap):
     hi = np.minimum(pts.max(axis=0) + m_cap + 1, shape)
     sl = tuple(map(slice, lo.tolist(), hi.tolist()))
     bshape = tuple((hi - lo).tolist())
-    nearest = np.full(bshape, _NO_PARENT, dtype=np.int32)
-    nearest[tuple((pts - lo).T)] = np.ravel_multi_index(tuple(pts.T), shape)
-    nearest = minimum_filter(nearest, size=2 * m_cap + 1, mode="constant", cval=_NO_PARENT)
+    nearest = _window_min(pts - lo, np.ravel_multi_index(tuple(pts.T), shape), bshape, m_cap)
     reach = b_bits[sl] & (label_b[sl] < 0)
     reach &= nearest != _NO_PARENT
-    reach = np.nonzero(reach)
-    return np.stack(reach, axis=1) + lo, nearest[reach]
+    flat = np.flatnonzero(reach)
+    bs = np.stack(np.unravel_index(flat, bshape), axis=1) + lo
+    return bs, nearest.reshape(-1)[flat]
 
 
 def _partners_inside(bs, b_match, offsets, shape):

@@ -228,6 +228,8 @@ class Polygon(Shape):
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ArgumentError("polygon needs at least 3 vertices")
+        if any(v.k != 2 for v in self.vertices):
+            raise ArgumentError("polygon vertices need 2 coordinates")
         v0 = self.vertices[0].array()
         rel = []
         for v in self.vertices:

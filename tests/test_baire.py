@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eqdec.baire import (
+    _ball_members,
     _Covering,
     _OracleContext,
     _sparse_edges,
@@ -17,8 +18,16 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
 from eqdec.matching import Matching
 from eqdec.suites import _bits_window, suite_extendable
-from eqdec.torus import AxisSquare, Bitmap, Disk, TorusPoint, offsets_row_major, sample_free_system
-from eqdec.window import build_sparse_coloring, extract_window
+from eqdec.torus import (
+    AxisSquare,
+    Bitmap,
+    Disk,
+    TorusPoint,
+    offsets_row_major,
+    sample_free_system,
+    torus_delta,
+)
+from eqdec.window import _min_translation_distance, build_sparse_coloring, extract_window
 from test_matching import scipy_max_matching_size
 
 
@@ -65,6 +74,88 @@ def test_build_nets_sparsity_and_interior():
                 for x, l, s in zip(c, win.window.low, win.window.sides)
             )
     assert net_side(1) == "B" and net_side(2) == "A"
+
+
+def _build_nets_reference(win, radii, seed, placement_margins, candidate_cap, net_cap):
+    """The per-centre scan that ``build_nets`` replaced: each centre tests
+    every interior part cell. Returns each level's kept cells, in order, and
+    how many ball members it met across the wrap of the first coordinate."""
+    m_cap = win.sys.m_cap
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6E657473]))
+    alpha = rng.random(win.sys.k)
+    y0 = rng.random(win.sys.k)
+    coords = win.torus_coords()
+    nets, wrapped = [], 0
+    for level, r in enumerate(radii, start=1):
+        part = win.a_bits.bits if net_side(level) == "A" else win.b_bits.bits
+        sparsity = r + 4 * m_cap
+        eps = _min_translation_distance(win.sys, sparsity) / 2 * (1 - 1e-9)
+        margin = int(placement_margins[level - 1])
+        interior = np.zeros(win.window.sides, dtype=bool)
+        if all(s > 2 * margin for s in win.window.sides):
+            interior[tuple(slice(margin, s - margin) for s in win.window.sides)] = True
+        part_idx = np.argwhere(part & interior)
+        part_coords = coords[tuple(part_idx.T)]
+        kept = []
+        for t in range(candidate_cap):
+            if len(kept) >= net_cap or len(part_idx) == 0:
+                break
+            y = (y0 + t * alpha) % 1.0
+            near = torus_delta(part_coords, y).max(axis=-1) <= eps
+            wrapped += int((near & (np.abs(part_coords[:, 0] - y[0]) > 0.5)).sum())
+            for c in part_idx[near]:
+                if len(kept) >= net_cap:
+                    break
+                if all(np.abs(c - k).max() > sparsity for k in kept):
+                    kept.append(c)
+        nets.append(np.array(kept, dtype=np.int64).reshape(-1, win.d) + np.array(win.window.low))
+    return nets, wrapped
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_build_nets_equals_the_per_centre_scan(d, k):
+    # free systems need d >= 2 generators, so d = 1 has no window to build
+    side, m_cap = (96, 2) if d == 2 else (22, 1)
+    radii, margins = (2, 4, 8), (3, 5, 7)
+    kept = wrapped = 0
+    for seed in range(4):
+        sys = sample_free_system(100 * seed + 10 * d + k, k, d, m_cap)
+        rng = np.random.default_rng(seed)
+        shape_a = Disk(TorusPoint(rng.random(k)), 0.2)
+        shape_b = AxisSquare(TorusPoint(rng.random(k)), 0.35)
+        win = extract_window(
+            shape_a, shape_b, sys, TorusPoint(rng.random(k)), Rect((-side // 2,) * d, (side,) * d)
+        )
+        for net_cap, candidate_cap in ((3, 8), (10_000, 400)):
+            ladder = build_nets(win, radii, seed, margins, candidate_cap, net_cap)
+            ref, across = _build_nets_reference(win, radii, seed, margins, candidate_cap, net_cap)
+            for net, cells in zip(ladder.nets, ref):
+                assert set(map(tuple, net.cells().tolist())) == set(map(tuple, cells.tolist()))
+                kept += len(cells)
+            wrapped += across
+    # in d = 3 these windows are too small for a ball across the wrap to
+    # catch a cell; the wrap's edges are pinned by the test below
+    assert kept > 0 and (wrapped > 0 or d == 3), (kept, wrapped)
+
+
+def test_ball_members_at_the_slab_edge_and_across_the_wrap():
+    rng = np.random.default_rng(5)
+    eps = 0.0123
+    ulp_steps = np.arange(-4, 5)
+    for y_first in (0.0, 1e-300, eps / 3, eps, 0.5, 1 - eps, 1 - eps / 2, np.nextafter(1.0, 0)):
+        y = np.array([y_first, 0.4])
+        edges = np.array([y_first - eps, y_first + eps])
+        edges = np.concatenate([edges - 1, edges, edges + 1])
+        firsts = [e + j * np.spacing(max(abs(e), 1e-300)) for e in edges for j in ulp_steps]
+        firsts = np.array(firsts + list(rng.random(40)))
+        firsts = firsts[(firsts >= 0) & (firsts < 1)]
+        coords = np.stack([firsts, 0.4 + rng.uniform(-eps, eps, len(firsts))], axis=1)
+        coords = np.concatenate([coords, coords[::-1]])  # ties in the first coordinate
+        order = np.argsort(coords[:, 0], kind="stable")
+        got = _ball_members(order, coords[order, 0], coords, y, eps)
+        want = np.flatnonzero(torus_delta(coords, y).max(axis=-1) <= eps)
+        assert np.array_equal(got, want), y_first
 
 
 def test_oracle_isolated_pair_and_conflict():

@@ -127,6 +127,33 @@ def test_negative_integer_exits_2_with_one_line(tmp_path, command, config):
     assert lines[0].startswith("error: ") and "must be at least 0" in lines[0]
 
 
+# torus points whose length disagrees with k: numpy broadcast these into a
+# traceback (exit 1) or a silently wrong run (exit 0)
+LENGTH_MISMATCHES = {
+    "k3-default-shapes": ("square", {"k": 3}),
+    "base-short": ("square", {"base": [0.1]}),
+    "base-long": ("square", {"base": [0.1, 0.2, 0.3]}),
+    "disk-center": ("square", {"shape_a": {"type": "disk", "center": [0.5], "radius": 0.2}}),
+    "k1-default-shapes": ("baire", {"k": 1, "window": 128, "radii": [4]}),
+    "polygon-vertex": ("audit", {
+        "shape_b": {"type": "polygon", "vertices": [[0.1, 0.1, 0.1], [0.3, 0.1, 0.1], [0.2, 0.3, 0.1]]},
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "command, config", LENGTH_MISMATCHES.values(), ids=LENGTH_MISMATCHES.keys()
+)
+def test_length_against_k_exits_2_with_one_line(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"window": 64, "m_cap": 2, "ladder": [2, 4], **config}))
+    proc = _cli_process(command, "--config", path, "--out", tmp_path)
+    assert proc.returncode == 2 and "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert proc.stdout == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert "coordinates" in lines[0]
+
+
 @pytest.mark.parametrize("command, code, stream", [("verify", 1, "stdout"), ("render", 2, "stderr")])
 def test_missing_run_file_is_one_line_error(tmp_path, command, code, stream):
     proc = _cli_process(command, tmp_path / "missing.eqdc")

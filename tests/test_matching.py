@@ -7,12 +7,14 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, dilate
 from eqdec import matching, suites
 from eqdec.matching import (
+    _NO_PARENT,
     Matching,
     _augment_regions,
     _first_true,
     _forest_sweep,
     _layered_bfs,
     _offsets_nearest_first,
+    _window_min,
     augment_phase,
     augment_to_max,
     cover_side,
@@ -431,6 +433,31 @@ def test_bfs_parent_is_first_patch_cell_of_previous_layer():
     bfs = _layered_bfs(a, a, free, free, offsets_row_major(1, 2), 1, 9)
     assert bfs.ends is None and bfs.depth == -1
     assert np.all(bfs.layer_a == -1) and np.all(bfs.layer_b == -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_min_equals_scipy_minimum_filter(d):
+    from scipy.ndimage import minimum_filter
+
+    rng = np.random.default_rng(40 + d)
+    narrow = edge = 0
+    for m_cap in range(1, 10):
+        for _ in range(12):
+            # sides from 1 to past 2M + 1, so some boxes are narrower than a window
+            shape = tuple(int(s) for s in rng.integers(1, min(2 * m_cap + 6, 60 // d), size=d))
+            frontier = rng.random(shape) < rng.choice([0.02, 0.1, 0.4])
+            corner = tuple(int(rng.integers(2)) * (s - 1) for s in shape)
+            frontier[corner] = True  # a frontier cell on the box edge
+            pts = np.argwhere(frontier)
+            values = rng.choice(_NO_PARENT, size=len(pts), replace=False).astype(np.int32)
+            grid = np.full(shape, _NO_PARENT, dtype=np.int32)
+            grid[tuple(pts.T)] = values
+            want = minimum_filter(grid, size=2 * m_cap + 1, mode="constant", cval=_NO_PARENT)
+            got = _window_min(pts, values, shape, m_cap)
+            assert got.dtype == np.int32 and np.array_equal(got, want), (shape, m_cap)
+            narrow += min(shape) < 2 * m_cap + 1
+            edge += bool((pts == 0).any() or (pts == np.array(shape) - 1).any())
+    assert narrow > 0 and edge > 0
 
 
 def test_row_bands_leave_the_bfs_unchanged(monkeypatch):
