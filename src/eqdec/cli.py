@@ -2,7 +2,7 @@
 stored-run verification, rendering, and the property suites.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage or config
-error, 3 resource limit. All randomness flows from one seed through named
+error (an output path that cannot be written among them), 3 resource limit. All randomness flows from one seed through named
 sub-streams, so identical configs give identical output bytes. --threads and
 --out are execution-only: neither is written into any output, and computation
 is sequential whatever --threads says.
@@ -407,6 +407,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ArgumentError, PrecisionError, LoadError) as e:
         print(f"error: {e}", file=_sys.stderr)
+        return 2
+    except OSError as e:
+        # reads map their own OSError (config: ArgumentError, runs: LoadError),
+        # so one that gets here comes from writing an output
+        where = f" {e.filename}" if e.filename else ""
+        print(f"error: cannot write{where}: {e.strerror or e}", file=_sys.stderr)
         return 2
     except (ResourceError, MemoryError) as e:
         print(f"resource error: {str(e) or 'out of memory'}", file=_sys.stderr)

@@ -111,7 +111,9 @@ def build_schedule(win: CosetWindow, ladder, levels: int | None = None) -> GridS
     window center (one Voronoi cell covering the whole window).
     """
     ladder = tuple(int(n) for n in ladder)
-    if not ladder or any(not _is_pow2(n) for n in ladder):
+    if not ladder:
+        raise ArgumentError("ladder is empty: give at least one cube size")
+    if any(not _is_pow2(n) for n in ladder):
         raise ArgumentError("ladder entries must be powers of two")
     if any(a >= b for a, b in zip(ladder, ladder[1:])):
         raise ArgumentError("ladder must be strictly increasing")

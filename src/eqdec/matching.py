@@ -34,13 +34,17 @@ pack, not per region, and each ends exactly as if phased alone.
 Three kernels carry most of the work. The greedy pass walks a shrinking list
 of free A-cells, as flat indices into grids padded by M, instead of sweeping
 whole arrays per offset. The A -> B step shared by the layered BFS and the
-forest (``_a_to_b``) is one int32 (2M+1)^d window-min over the frontier's
-flat indices (``_window_min``: log-step doubling of shifted ``np.minimum``
-views along each axis), which also yields each reached B-cell's parent, the
-row-major first frontier A-cell within M. So a walk-back step is one
-lookup; the layered BFS's walk-back searches the (2M+1)^d patch only when
-the parent already lies on a path flipped in the same phase, and the
-forest's never does.
+forest (``_a_to_b``) sorts the frontier row-major once, splits it into bands
+of rows, and takes per band one (2M+1)^d window-min of the frontier's ranks
+(``_window_min``: log-step doubling of shifted ``np.minimum`` views along
+each axis, in uint8 or uint16 for any band under 65,536 cells). The
+minimum rank is each reached B-cell's parent, the row-major first frontier
+A-cell within M, mapped back to a flat index only at the reached cells. The
+phase's peel (``_walk_back``) then steps in flat indices, one parent lookup
+and one flat partner shift per step. It searches the (2M+1)^d patch only
+when the parent lies on a path already taken in the same phase, read off a
+per-phase copy of the A layers with -1 on those paths, and flips all of the
+phase's paths at once, one index write per grid; the forest never searches.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ __all__ = [
 # solve 11-27% slower.
 PACK_CELLS = 1 << 17
 
-# Extra rows, past 2M, between two frontier cells at which the layered BFS
-# splits its A -> B step into separate bounding boxes (``_row_bands``).
+# Extra rows, past 2M, between two frontier cells at which the A -> B step
+# splits into separate bounding boxes (``_row_bands``).
 BAND_GAP = 64
 
 
@@ -215,33 +219,30 @@ class BfsLayers(NamedTuple):
     parent: np.ndarray
 
 
-# int32: a window holds at most 2^26 cells, so every flat index fits, and
-# the window-min in ``_a_to_b`` moves half the bytes of an int64 grid
-_NO_PARENT = np.iinfo(np.int32).max
+def _window_min(pts, shape, m_cap):
+    """The (2M+1)^d sliding minimum of a grid of ``shape`` that holds the
+    rank i at the cell ``pts[i]`` and the sentinel n = ``len(pts)`` at every
+    other cell and outside, in the narrowest unsigned type that holds n.
 
-
-def _window_min(pts, values, shape, m_cap):
-    """The (2M+1)^d sliding minimum of a grid of ``shape`` that holds
-    ``values`` at the cells ``pts`` and ``_NO_PARENT`` elsewhere and outside.
-
-    The grid is built padded by M with ``_NO_PARENT``. Each axis then takes
-    log-step doubling, one ``np.minimum`` of two shifted views per step
-    (spans 1, 2, 4, ... up to the largest power of two not above 2M + 1),
-    and one overlapping step for the rest. A minimum is exact, so the result
-    is scipy's ``minimum_filter`` with ``mode="constant"``, and only the
-    running result and its successor are alive at once.
+    The grid is built padded by M with n. Each axis then takes log-step
+    doubling, one ``np.minimum`` of two shifted views per step (spans 1, 2,
+    4, ... up to the largest power of two not above 2M + 1), and one
+    overlapping step for the rest. A minimum is exact, so the result is
+    scipy's ``minimum_filter`` with ``mode="constant"`` and ``cval=n``, and
+    only the running result and its successor are alive at once.
     """
+    n = len(pts)
     width = 2 * m_cap + 1
-    out = np.full(tuple(s + 2 * m_cap for s in shape), _NO_PARENT, dtype=np.int32)
-    out[tuple((pts + m_cap).T)] = values
-    for axis, n in enumerate(shape):
+    out = np.full(tuple(s + 2 * m_cap for s in shape), n, dtype=np.min_scalar_type(n))
+    out[tuple((pts + m_cap).T)] = np.arange(n, dtype=out.dtype)
+    for axis, side in enumerate(shape):
         span = 1
         while 2 * span <= width:
             cut = out.shape[axis] - span
             out = np.minimum(_along(out, axis, 0, cut), _along(out, axis, span, cut))
             span *= 2
         if span < width:
-            out = np.minimum(_along(out, axis, 0, n), _along(out, axis, width - span, n))
+            out = np.minimum(_along(out, axis, 0, side), _along(out, axis, width - span, side))
     return out
 
 
@@ -251,26 +252,36 @@ def _along(a, axis, start, n):
 
 
 def _a_to_b(pts, b_bits, label_b, m_cap):
-    """One A -> B step of an alternating BFS from the frontier A-cells ``pts``.
+    """One A -> B step of an alternating BFS from the frontier A-cells ``pts``,
+    given in any order.
 
     Returns (bs, parents): the B-cells within M of a frontier cell and still
     unlabelled (``label_b`` < 0), as an (n, d) array in row-major order, and
     for each its parent, the row-major first frontier cell within M, as a
-    row-major flat index into the array. Work is confined to the frontier's
-    bounding box grown by M, where one window-min (``_window_min``) over the
-    frontier's flat indices yields both: flat indices grow in row-major order.
+    row-major flat index into the array. The frontier is put in row-major
+    order once and split into bands of rows (``_row_bands``). In each band's
+    bounding box grown by M, one window-min over the cells' ranks
+    (``_window_min``) yields both, since rank order is row-major order; ranks
+    map back to flat indices only at the reached cells.
     """
     shape = b_bits.shape
-    lo = np.maximum(pts.min(axis=0) - m_cap, 0)
-    hi = np.minimum(pts.max(axis=0) + m_cap + 1, shape)
-    sl = tuple(map(slice, lo.tolist(), hi.tolist()))
-    bshape = tuple((hi - lo).tolist())
-    nearest = _window_min(pts - lo, np.ravel_multi_index(tuple(pts.T), shape), bshape, m_cap)
-    reach = b_bits[sl] & (label_b[sl] < 0)
-    reach &= nearest != _NO_PARENT
-    flat = np.flatnonzero(reach)
-    bs = np.stack(np.unravel_index(flat, bshape), axis=1) + lo
-    return bs, nearest.reshape(-1)[flat]
+    flat = np.sort(np.ravel_multi_index(tuple(pts.T), shape))
+    pts = np.stack(np.unravel_index(flat, shape), axis=1)
+    bs, parents = [], []
+    first = 0
+    for band in _row_bands(pts, m_cap):
+        lo = np.maximum(band.min(axis=0) - m_cap, 0)
+        hi = np.minimum(band.max(axis=0) + m_cap + 1, shape)
+        sl = tuple(map(slice, lo.tolist(), hi.tolist()))
+        bshape = tuple((hi - lo).tolist())
+        rank = _window_min(band - lo, bshape, m_cap)
+        reach = b_bits[sl] & (label_b[sl] < 0)
+        reach &= rank < len(band)
+        hit = np.flatnonzero(reach)
+        bs.append(np.stack(np.unravel_index(hit, bshape), axis=1) + lo)
+        parents.append(flat[first : first + len(band)][rank.reshape(-1)[hit]])
+        first += len(band)
+    return np.concatenate(bs), np.concatenate(parents)
 
 
 def _partners_inside(bs, b_match, offsets, shape):
@@ -282,19 +293,11 @@ def _partners_inside(bs, b_match, offsets, shape):
 
 
 def _row_bands(pts, m_cap):
-    """Split frontier cells into bands of rows more than 2M + ``BAND_GAP``
-    apart, in row order. The bands' A -> B boxes are disjoint, so one
-    ``_a_to_b`` per band reaches what one over all the cells would, while
-    the rows between bands (a pack's finished regions) cost nothing."""
-    rows = pts[:, 0]
-    lo = int(rows.min())
-    occupied = np.flatnonzero(np.bincount(rows - lo)) + lo
-    cuts = occupied[1:][np.diff(occupied) > 2 * m_cap + BAND_GAP]
-    if len(cuts) == 0:
-        return [pts]
-    band = np.searchsorted(cuts, rows, side="right")
-    sizes = np.bincount(band, minlength=len(cuts) + 1)
-    return np.split(pts[np.argsort(band, kind="stable")], np.cumsum(sizes)[:-1])
+    """Split frontier cells in row-major order into bands of rows more than
+    2M + ``BAND_GAP`` apart. The bands' A -> B boxes are disjoint, so one
+    window-min per band reaches what one over all the cells would, while the
+    rows between bands (a pack's finished regions) cost nothing."""
+    return np.split(pts, np.flatnonzero(np.diff(pts[:, 0]) > 2 * m_cap + BAND_GAP) + 1)
 
 
 def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_region=None):
@@ -334,13 +337,12 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_
         depth += 1  # step A -> B over any edge
         if depth > cap_len:
             break
-        reached = [_a_to_b(band, b_bits, layer_b, m_cap) for band in _row_bands(pts, m_cap)]
-        bs = np.concatenate([r[0] for r in reached])
+        bs, parents = _a_to_b(pts, b_bits, layer_b, m_cap)
         if len(bs) == 0:
             break
         cells = tuple(bs.T)
         layer_b[cells] = depth
-        parent[cells] = np.concatenate([r[1] for r in reached])
+        parent[cells] = parents
         free = b_match[cells] < 0
         if free.any():
             if ends is None:
@@ -365,13 +367,6 @@ def _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_
     return BfsLayers(layer_a, layer_b, ends, end_depth, parent)
 
 
-def _first_true(mask) -> tuple | None:
-    flat = np.flatnonzero(mask.ravel())
-    if len(flat) == 0:
-        return None
-    return tuple(int(x) for x in np.unravel_index(flat[0], mask.shape))
-
-
 def _unravel(flat: int, shape) -> tuple:
     """``np.unravel_index`` for one index, as a tuple of Python ints."""
     out = []
@@ -381,82 +376,109 @@ def _unravel(flat: int, shape) -> tuple:
     return tuple(reversed(out))
 
 
-def _walk_back(end, bfs: BfsLayers, a_match, offsets, m_cap, used_a, used_b):
-    """Reconstruct one shortest path from an unmatched B endpoint.
+class _Peel(NamedTuple):
+    """What the walks of one phase read (``_phase``). The flat grids are
+    memoryviews, whose items are Python ints: a walk step is then Python int
+    arithmetic, several times cheaper than on numpy scalars."""
 
-    Row-major smallest predecessor at each step; returns the node list
-    (B endpoint first) or None when disjointness masks block the walk. The
-    predecessor is read from ``bfs.parent``; only when ``used_a`` already
-    holds it is the (2M+1)^d patch searched for the next free one.
+    parent: memoryview  # ``BfsLayers.parent``, flat
+    avail: np.ndarray  # the phase's copy of the A layers, -1 on flipped paths
+    avail_flat: memoryview  # ``avail``, flat, written through
+    a_match: memoryview  # flat
+    shift: list  # flat stride of each offset index
+    m_cap: int
+
+
+def _walk_back(end, lev, peel: _Peel):
+    """Reconstruct one shortest augmenting path from its free B end ``end``
+    of layer ``lev``, in flat indices.
+
+    Returns (a_side, b_side), or None when the walk is blocked. ``a_side``
+    lists the path's A-cells from the end to the free start; ``b_side`` the
+    end, then the partner of each A-cell but the start, so that the flip
+    matches ``a_side[i]`` to ``b_side[i]``. Each A-cell is the row-major
+    first cell of its layer within M of the B-cell before it that no path
+    flipped earlier in the phase holds: the B-cell's parent when
+    ``peel.avail`` still holds its layer there, and otherwise the first such
+    cell of the (2M+1)^d patch, which may have none.
     """
-    layer_a, parent = bfs.layer_a, bfs.parent
-    sides = layer_a.shape
-    nodes = [end]
+    parent, avail, a_match, shift = peel.parent, peel.avail_flat, peel.a_match, peel.shift
+    a_side, b_side = [], [end]
     cur = end
-    lev = int(bfs.layer_b[end])
-    while lev > 0:
-        a = _unravel(int(parent[cur]), sides)
-        if used_a[a]:
-            lo = tuple(max(0, c - m_cap) for c in cur)
-            hi = tuple(min(s, c + m_cap + 1) for c, s in zip(cur, sides))
-            patch = tuple(slice(l, h) for l, h in zip(lo, hi))
-            pos = _first_true((layer_a[patch] == lev - 1) & ~used_a[patch])
-            if pos is None:
+    while True:
+        lev -= 1
+        a = parent[cur]
+        if avail[a] != lev:
+            a = _patch_first(peel.avail, cur, lev, peel.m_cap)
+            if a < 0:
                 return None
-            a = tuple(p + l for p, l in zip(pos, lo))
-        nodes.append(a)
-        lev -= 1
+        a_side.append(a)
         if lev == 0:
-            break
-        k = a_match[a]
-        b = tuple(int(c + o) for c, o in zip(a, offsets[k]))
-        if used_b[b]:
-            return None
-        nodes.append(b)
-        cur = b
+            return a_side, b_side
+        cur = a + shift[a_match[a]]
+        b_side.append(cur)
         lev -= 1
-    return nodes
 
 
-def _apply_flip(nodes, a_match, b_match, offsets, m_cap):
-    """Flip the alternating path given as nodes [b_end, a, b, ..., a_start]."""
-    box = 2 * m_cap + 1
-    for i in range(1, len(nodes), 2):
-        a = nodes[i]
-        b = nodes[i - 1]
-        off = tuple(bb - aa for aa, bb in zip(a, b))
-        k = 0
-        for o in off:
-            k = k * box + (o + m_cap)
-        a_match[a] = k
-        b_match[b] = k
+def _patch_first(grid, cur, lev, m_cap):
+    """The flat index of the row-major first cell holding ``lev`` in the
+    (2M+1)^d patch of ``grid`` around the flat cell ``cur``, or -1."""
+    at = _unravel(cur, grid.shape)
+    lo = [max(0, c - m_cap) for c in at]
+    hit = grid[tuple(slice(l, c + m_cap + 1) for l, c in zip(lo, at))] == lev
+    i = int(hit.argmax())
+    if not hit.flat[i]:
+        return -1
+    flat = 0
+    for l, p, s in zip(lo, _unravel(i, hit.shape), grid.shape):
+        flat = flat * s + l + p
+    return flat
 
 
 def _phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, row_region=None):
     """One BFS plus a peel of vertex-disjoint shortest augmenting paths.
 
-    Paths are peeled from their B ends in row-major order. Returns the
-    axis-0 rows of the flipped paths' B ends, which ``row_region`` maps to
-    regions in a pack.
+    Paths are walked back (``_walk_back``) from their B ends in row-major
+    order and all flip at once after the last walk: a walk reads the match
+    grids only at cells on no earlier path of the phase, which those flips
+    would not change. Returns the axis-0 rows of the flipped paths' B ends,
+    which ``row_region`` maps to regions in a pack.
     """
-    offsets = offsets_row_major(m_cap, a_bits.ndim)
+    d = a_bits.ndim
+    offsets = offsets_row_major(m_cap, d)
     bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_region)
     if bfs.ends is None:
-        return []
-    used_a = np.zeros_like(a_bits)
-    used_b = np.zeros_like(a_bits)
-    rows = []
-    for end in map(tuple, np.argwhere(bfs.ends).tolist()):
-        if used_b[end]:
+        return np.empty(0, dtype=np.intp)
+    shape = a_bits.shape
+    strides = [int(np.prod(shape[i + 1 :])) for i in range(d)]
+    avail = bfs.layer_a.copy()
+    peel = _Peel(
+        parent=memoryview(bfs.parent.reshape(-1)),
+        avail=avail,
+        avail_flat=memoryview(avail.reshape(-1)),
+        a_match=memoryview(np.ascontiguousarray(a_match).reshape(-1)),
+        shift=(offsets @ np.array(strides)).tolist(),
+        m_cap=m_cap,
+    )
+    ends = np.flatnonzero(bfs.ends)
+    a_all, b_all, flipped = [], [], []
+    for end, lev in zip(ends.tolist(), bfs.layer_b.reshape(-1)[ends].tolist()):
+        path = _walk_back(end, lev, peel)
+        if path is None:
             continue
-        nodes = _walk_back(end, bfs, a_match, offsets, m_cap, used_a, used_b)
-        if nodes is None:
-            continue
-        _apply_flip(nodes, a_match, b_match, offsets, m_cap)
-        for i, n in enumerate(nodes):
-            (used_b if i % 2 == 0 else used_a)[n] = True
-        rows.append(end[0])
-    return rows
+        a_side, b_side = path
+        for a in a_side:
+            peel.avail_flat[a] = -1
+        a_all += a_side
+        b_all += b_side
+        flipped.append(end)
+    a_cells = np.unravel_index(np.array(a_all, dtype=np.intp), shape)
+    b_cells = np.unravel_index(np.array(b_all, dtype=np.intp), shape)
+    box = (2 * m_cap + 1,) * d
+    k = np.ravel_multi_index(tuple(b - a + m_cap for a, b in zip(a_cells, b_cells)), box)
+    a_match[a_cells] = k
+    b_match[b_cells] = k
+    return np.array(flipped, dtype=np.intp) // strides[0]
 
 
 def augment_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len):

@@ -238,8 +238,34 @@ def _offset(k, m_cap):
 
 
 def test_window_too_small_for_ladder_exits_2(tmp_path, capsys):
-    code = run_cli("square", "--window", 32, "--seed", 5, "--out", tmp_path, "--ladder", "8,64")
-    assert code == 2
+    # and an empty ladder, with its own message
+    cases = (
+        ({"window": 32, "ladder": [8, 64]}, "error: top cube size exceeds the window"),
+        ({"window": 64, "ladder": []}, "error: ladder is empty: give at least one cube size"),
+    )
+    for config, message in cases:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("square", "--config", path, "--seed", 5, "--out", tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command", ["square", "render"])
+def test_unwritable_output_is_one_line_exit_2(tmp_path, command):
+    # an --out that names a file, and a --dest in a missing directory
+    if command == "square":
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = ("square", "--window", 64, "--ladder", "8", "--out", taken)
+    else:
+        assert run_cli("square", "--window", 64, "--seed", 3, "--out", tmp_path, "--ladder", "8") == 0
+        args = ("render", tmp_path / "square.eqdc", "--dest", tmp_path / "missing" / "x.ppm")
+    proc = _cli_process(*args)
+    assert proc.returncode == 2 and "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert proc.stdout == "" and len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {args[-1]}: ")
 
 
 def test_baire_cli_small(tmp_path):

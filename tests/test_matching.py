@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -7,10 +8,9 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, dilate
 from eqdec import matching, suites
 from eqdec.matching import (
-    _NO_PARENT,
     Matching,
+    _a_to_b,
     _augment_regions,
-    _first_true,
     _forest_sweep,
     _layered_bfs,
     _offsets_nearest_first,
@@ -372,28 +372,47 @@ def test_forest_sweeps_reach_the_maximum_in_tile_views():
     assert crossed  # the border case ran
 
 
-def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a, used_b, log):
-    """The walk-back without parent pointers: search each (2M+1)^d patch.
+def _first_true(mask) -> tuple | None:
+    flat = np.flatnonzero(mask.ravel())
+    if len(flat) == 0:
+        return None
+    return tuple(int(x) for x in np.unravel_index(flat[0], mask.shape))
 
-    ``log`` counts the steps where ``used_a`` holds the first candidate.
-    """
+
+def _apply_flip(nodes, a_match, b_match, m_cap):
+    """Flip the alternating path given as nodes [b_end, a, b, ..., a_start]."""
+    box = 2 * m_cap + 1
+    for i in range(1, len(nodes), 2):
+        a, b = nodes[i], nodes[i - 1]
+        k = 0
+        for aa, bb in zip(a, b):
+            k = k * box + (bb - aa + m_cap)
+        a_match[a] = k
+        b_match[b] = k
+
+
+def _walk_back_patch_search(end, bfs, a_match, offsets, m_cap, used_a, used_b, log):
+    """The walk-back in coordinates, with no parent pointers: each step
+    searches the (2M+1)^d patch for the row-major first cell of the layer
+    before that ``used_a`` does not hold. ``log`` counts the steps that take
+    the first cell of the layer (the BFS parent), the steps that pass it
+    over, and the blocked walks."""
     layer_a = bfs.layer_a
     sides = layer_a.shape
     nodes = [end]
     cur = end
-    lev = bfs.depth
+    lev = int(bfs.layer_b[end])
     while lev > 0:
         lo = tuple(max(0, c - m_cap) for c in cur)
         hi = tuple(min(s, c + m_cap + 1) for c, s in zip(cur, sides))
         patch = tuple(slice(l, h) for l, h in zip(lo, hi))
         cand = layer_a[patch] == lev - 1
         first = _first_true(cand)
-        cand &= ~used_a[patch]
-        pos = _first_true(cand)
-        if pos != first:
-            log.append(1)
+        pos = _first_true(cand & ~used_a[patch])
         if pos is None:
+            log["blocked"] += 1
             return None
+        log["parent" if pos == first else "patch"] += 1
         a = tuple(p + l for p, l in zip(pos, lo))
         nodes.append(a)
         lev -= 1
@@ -401,11 +420,36 @@ def _walk_back_patch_only(end, bfs, a_match, offsets, m_cap, used_a, used_b, log
             break
         b = tuple(int(c + o) for c, o in zip(a, offsets[a_match[a]]))
         if used_b[b]:
+            log["blocked"] += 1
             return None
         nodes.append(b)
         cur = b
         lev -= 1
     return nodes
+
+
+def _phase_patch_search(a_bits, b_bits, a_match, b_match, m_cap, cap_len, row_region, log):
+    """A phase peeled in coordinates: a patch search at every step, each
+    path flipped as soon as it is found, and ``used_a`` / ``used_b`` grids
+    of the cells on flipped paths. Returns the rows of the flipped ends."""
+    offsets = offsets_row_major(m_cap, a_bits.ndim)
+    bfs = _layered_bfs(a_bits, b_bits, a_match, b_match, offsets, m_cap, cap_len, row_region)
+    if bfs.ends is None:
+        return []
+    used_a = np.zeros(a_bits.shape, dtype=bool)
+    used_b = np.zeros(a_bits.shape, dtype=bool)
+    rows = []
+    for end in map(tuple, np.argwhere(bfs.ends).tolist()):
+        if used_b[end]:
+            continue
+        nodes = _walk_back_patch_search(end, bfs, a_match, offsets, m_cap, used_a, used_b, log)
+        if nodes is None:
+            continue
+        _apply_flip(nodes, a_match, b_match, m_cap)
+        for i, n in enumerate(nodes):
+            (used_b if i % 2 == 0 else used_a)[n] = True
+        rows.append(end[0])
+    return rows
 
 
 def test_bfs_parent_is_first_patch_cell_of_previous_layer():
@@ -437,7 +481,18 @@ def test_bfs_parent_is_first_patch_cell_of_previous_layer():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_window_min_equals_scipy_minimum_filter(d):
+    # the rank grid: rank i at the i-th frontier cell in row-major order, the
+    # frontier's size n elsewhere, in the narrowest unsigned type holding n
     from scipy.ndimage import minimum_filter
+
+    def check(shape, pts, m_cap):
+        n = len(pts)
+        grid = np.full(shape, n, dtype=np.int64)
+        grid[tuple(pts.T)] = np.arange(n)
+        want = minimum_filter(grid, size=2 * m_cap + 1, mode="constant", cval=n)
+        got = _window_min(pts, shape, m_cap)
+        assert got.dtype == np.min_scalar_type(n) and np.array_equal(got, want), (shape, m_cap)
+        return got.dtype
 
     rng = np.random.default_rng(40 + d)
     narrow = edge = 0
@@ -449,15 +504,41 @@ def test_window_min_equals_scipy_minimum_filter(d):
             corner = tuple(int(rng.integers(2)) * (s - 1) for s in shape)
             frontier[corner] = True  # a frontier cell on the box edge
             pts = np.argwhere(frontier)
-            values = rng.choice(_NO_PARENT, size=len(pts), replace=False).astype(np.int32)
-            grid = np.full(shape, _NO_PARENT, dtype=np.int32)
-            grid[tuple(pts.T)] = values
-            want = minimum_filter(grid, size=2 * m_cap + 1, mode="constant", cval=_NO_PARENT)
-            got = _window_min(pts, values, shape, m_cap)
-            assert got.dtype == np.int32 and np.array_equal(got, want), (shape, m_cap)
+            check(shape, pts, m_cap)
             narrow += min(shape) < 2 * m_cap + 1
             edge += bool((pts == 0).any() or (pts == np.array(shape) - 1).any())
     assert narrow > 0 and edge > 0
+    # frontiers at each edge of the rank types: 255 and 65,535 cells keep the
+    # sentinel in uint8 and uint16, one more cell needs the next type
+    shape = {1: (70_000,), 2: (300, 300), 3: (45, 45, 45)}[d]
+    dtypes = set()
+    for n in (255, 256, 65_535, 65_536):
+        flat = np.sort(rng.choice(int(np.prod(shape)), size=n, replace=False))
+        pts = np.stack(np.unravel_index(flat, shape), axis=1)
+        dtypes.add(check(shape, pts, int(rng.integers(1, 4))))
+    assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)}
+
+
+def test_a_to_b_ignores_frontier_order(monkeypatch):
+    # the forest passes its partners unsorted; with no band gap, sparse
+    # frontiers split into row bands, dense ones do not
+    monkeypatch.setattr(matching, "BAND_GAP", 0)
+    rng = np.random.default_rng(37)
+    banded = 0
+    for d, shape in ((1, (400,)), (2, (160, 12)), (2, (30, 30)), (3, (80, 5, 5))):
+        for m_cap in (1, 2, 3):
+            for _ in range(8):
+                a = rng.random(shape) < rng.uniform(0.01, 0.5)
+                if not a.any():
+                    continue
+                b = rng.random(shape) < 0.5
+                label_b = np.where(rng.random(shape) < 0.2, 3, -1).astype(np.int32)
+                pts = np.argwhere(a)
+                bs, parents = _a_to_b(pts, b, label_b, m_cap)
+                got_bs, got_parents = _a_to_b(rng.permutation(pts), b, label_b, m_cap)
+                assert np.array_equal(got_bs, bs) and np.array_equal(got_parents, parents)
+                banded += len(matching._row_bands(pts, m_cap)) > 1
+    assert banded > 10, banded
 
 
 def test_row_bands_leave_the_bfs_unchanged(monkeypatch):
@@ -482,27 +563,40 @@ def test_row_bands_leave_the_bfs_unchanged(monkeypatch):
 
 
 def test_augment_phase_equals_patch_search_walk_back(monkeypatch):
+    # every phase, on single regions and on packs, against the peel in
+    # coordinates with a patch search at every step and immediate flips
+    log = collections.Counter()
+    fast_phase = matching._phase
+
+    def both_phases(a_bits, b_bits, a_match, b_match, m_cap, cap_len, row_region=None):
+        ref_a, ref_b = a_match.copy(), b_match.copy()
+        want = _phase_patch_search(a_bits, b_bits, ref_a, ref_b, m_cap, cap_len, row_region, log)
+        got = fast_phase(a_bits, b_bits, a_match, b_match, m_cap, cap_len, row_region)
+        assert got.tolist() == want
+        assert np.array_equal(a_match, ref_a) and np.array_equal(b_match, ref_b)
+        return got
+
+    monkeypatch.setattr(matching, "_phase", both_phases)
     rng = np.random.default_rng(23)
-    fallbacks = []
-
-    def patch_only(*args, **kwargs):
-        return _walk_back_patch_only(*args, **kwargs, log=fallbacks)
-
-    for d, side, m_cap in ((2, 12, 1), (2, 12, 2), (3, 6, 1)):
-        for _ in range(40):
-            a = rng.random((side,) * d) < 0.5
-            b = rng.random((side,) * d) < 0.5
+    for d, side, m_cap in ((1, 60, 2), (2, 12, 1), (2, 12, 2), (3, 6, 1)):
+        shape = (side,) * d
+        for _ in range(25):
+            a = rng.random(shape) < 0.5
+            b = rng.random(shape) < 0.5
             m = _random_matching(rng, a, b, m_cap)
             for cap in (3, 99):
-                got_a, got_b = m.a_match.copy(), m.b_match.copy()
-                flips = augment_phase(a, b, got_a, got_b, m_cap, cap)
-                ref_a, ref_b = m.a_match.copy(), m.b_match.copy()
-                with monkeypatch.context() as mp:
-                    mp.setattr(matching, "_walk_back", patch_only)
-                    ref_flips = augment_phase(a, b, ref_a, ref_b, m_cap, cap)
-                assert flips == ref_flips
-                assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
-    assert fallbacks  # some walk-backs found their parent already used
+                augment_phase(a, b, m.a_match.copy(), m.b_match.copy(), m_cap, cap)
+        for _ in range(6):
+            a = rng.random(shape) < rng.uniform(0.3, 0.6)
+            b = rng.random(shape) < rng.uniform(0.3, 0.6)
+            m = _loose_matching(rng, a, b, m_cap)
+            regions = _random_regions(rng, shape)
+            lows = [[s.start for s in sl] for sl in regions]
+            sides = [[s.stop - s.start for s in sl] for sl in regions]
+            for cap in (None, 3):
+                am, bm = m.a_match.copy(), m.b_match.copy()
+                _augment_regions(a, b, am, bm, m_cap, lows, sides, cap)
+    assert log["parent"] and log["patch"] and log["blocked"], log
 
 
 def _loose_matching(rng, a, b, m_cap):
