@@ -23,7 +23,12 @@ from eqdec.matching import (
     hall_deficiency,
 )
 from eqdec.torus import offsets_row_major, torus_delta
-from eqdec.window import CosetWindow, SparseColoring, _min_translation_distance
+from eqdec.window import (
+    CosetWindow,
+    SparseColoring,
+    _min_translation_distance,
+    build_sparse_coloring,
+)
 
 __all__ = [
     "SparseNetLadder",
@@ -218,8 +223,8 @@ class _OracleContext:
             raise ArgumentError("horizon ball exceeds the window")
         self.region = region
         sl = region.slices_in(win.window)
-        a_in = (win.a_bits.bits[sl] & (m.a_match[sl] < 0)).copy()
-        b_in = (win.b_bits.bits[sl] & (m.b_match[sl] < 0)).copy()
+        a_in = win.a_bits.bits[sl] & (m.a_match[sl] < 0)
+        b_in = win.b_bits.bits[sl] & (m.b_match[sl] < 0)
         centre = tuple(int(c) - l for c, l in zip(anchor, low))
         own = a_in if anchor_side == "A" else b_in
         if not own[centre]:
@@ -317,6 +322,13 @@ def _sparse_edges(edges, bound: int) -> bool:
     return bool((gap[np.triu_indices(len(ends), 1)] > bound).all())
 
 
+def _colour_order(coloring: SparseColoring, coords, cells):
+    """The stable order of the window cells ``cells`` (an (n, d) array,
+    relative to the window) by the colour of their torus points: given in
+    row-major order, they come out in (colour, row-major) order."""
+    return np.argsort(coloring.color_of(coords[tuple(cells.T)]), kind="stable")
+
+
 def greedy_step(
     m_prev: Matching,
     level: int,
@@ -341,40 +353,32 @@ def greedy_step(
     coords = win.torus_coords()
     low = np.array(win.window.low)
     other_bits = win.a_bits.bits if side == "B" else win.b_bits.bits
-    net_cells = [tuple(int(x) for x in c) for c in net.cells()]
-
-    def color_key(cell):
-        rel = tuple(c - l for c, l in zip(cell, low))
-        return int(coloring.color_of(coords[rel][None, :])[0])
-
-    net_cells.sort(key=lambda c: (color_key(c), c))
-    added = []  # (A-cell, B-cell) of each added edge
-    offs = offsets_row_major(m_cap, win.d)
     own_matched = out.a_match if side == "A" else out.b_match
     other_matched = out.b_match if side == "A" else out.a_match
-    for cell in net_cells:
-        rel = tuple(c - l for c, l in zip(cell, low))
-        if own_matched[rel] >= 0:
+    offs = offsets_row_major(m_cap, win.d)
+    net_cells = np.argwhere(net.bits)  # row-major, relative to the window
+    net_cells = net_cells[_colour_order(coloring, coords, net_cells)]
+    added = []  # (A-cell, B-cell) of each added edge, relative to the window
+    for rel in net_cells:
+        if own_matched[tuple(rel)] >= 0:
             continue
-        cands = []  # (partner, index of its offset from the net cell)
-        for j, off in enumerate(offs):
-            partner = tuple(c + int(o) for c, o in zip(cell, off))
-            prel = tuple(p - l for p, l in zip(partner, low))
-            if any(p < 0 or p >= s for p, s in zip(prel, win.window.sides)):
-                continue
-            if not other_bits[prel] or other_matched[prel] >= 0:
-                continue
-            cands.append((partner, j))
-        cands.sort(key=lambda c: (color_key(c[0]), c[0]))
+        # offsets are row-major, so the candidates start in row-major order
+        partners = rel + offs
+        cands = np.flatnonzero(np.all((partners >= 0) & (partners < win.window.sides), axis=1))
+        at = tuple(partners[cands].T)
+        cands = cands[other_bits[at] & (other_matched[at] < 0)]
+        cands = cands[_colour_order(coloring, coords, partners[cands])]
+        cell = tuple((rel + low).tolist())
         ctx = _OracleContext(m_prev, win, cell, side, horizon)
-        for partner, j in cands:
-            if ctx.check(partner):
+        for j in cands.tolist():
+            partner = partners[j]
+            if ctx.check(tuple((partner + low).tolist())):
                 # the grids hold the index of the A-to-B offset; on a B level
                 # that is -offs[j], and offs[-1 - j] == -offs[j]
                 k = j if side == "A" else len(offs) - 1 - j
-                a_c, b_c = (cell, partner) if side == "A" else (partner, cell)
-                out.a_match[tuple(c - l for c, l in zip(a_c, low))] = k
-                out.b_match[tuple(c - l for c, l in zip(b_c, low))] = k
+                a_c, b_c = (rel, partner) if side == "A" else (partner, rel)
+                out.a_match[tuple(a_c)] = k
+                out.b_match[tuple(b_c)] = k
                 added.append((a_c, b_c))
                 break
         else:
@@ -422,8 +426,6 @@ def run_baire(
     net_cap: int = 16,
 ) -> BaireResult:
     """Build nets, run the greedy levels, and audit feasibility on the core."""
-    from eqdec.window import build_sparse_coloring
-
     m_cap = win.sys.m_cap
     horizons = [horizon_factor * int(r) for r in radii]
     margins = [h + m_cap + 1 for h in horizons]
@@ -446,12 +448,7 @@ def run_baire(
                 req_a |= nb & win.a_bits.bits
             else:
                 req_b |= nb & win.b_bits.bits
-        mask = np.zeros(win.window.sides, dtype=bool)
-        mask[csl] = True
-        cert = hall_deficiency(
-            win, core, CellSet(win.window, req_a & mask), CellSet(win.window, req_b & mask)
-        )
-        rep.hall_ok = cert is None
+        rep.hall_ok = hall_deficiency(win, core, req_a[csl], req_b[csl]) is None
         reports.append(rep)
     return BaireResult(
         matching=m, reports=reports, ladder=ladder, margin=margin, horizon_factor=horizon_factor

@@ -115,6 +115,8 @@ def load_config(args) -> dict:
             raise ArgumentError(f"config key {key!r} must be a JSON {name}, got {value!r}")
         if want is int:
             _check_floor(key, value)
+        if key == "area" and not value > 0:
+            raise ArgumentError(f"config key 'area' must be positive, got {value!r}")
     return cfg
 
 
@@ -171,7 +173,7 @@ def _outdir(cfg) -> Path:
 
 
 def cmd_audit(args) -> int:
-    from eqdec.discrepancy import UniformityBudget, profile, summability_report
+    from eqdec.discrepancy import profile, summability_report
 
     cfg = load_config(args)
     win, echo, shape_a, shape_b = _setup(cfg)
@@ -182,16 +184,12 @@ def cmd_audit(args) -> int:
         delta = float(cs.bits.mean())
         prof = profile(cs, delta, win.window, i_max)
         (out / f"audit_{name}.csv").write_text(prof.to_csv())
-        budget = UniformityBudget(delta=max(delta, 1e-9), psi=[
-            dev / (1 << i) for i, dev in enumerate(prof.max_dev)
-        ])
-        psi_sums, phi_sums, tail = summability_report(budget, cfg["d"], i_max)
+        phi_sums, tail = summability_report(prof.max_dev, cfg["d"], i_max)
         entry = {
             "delta": delta,
             "fitted_exponent": prof.fitted_exponent,
             "max_dev": list(prof.max_dev),
             "phi_partial_sums": list(phi_sums),
-            "psi_partial_sums": list(psi_sums),
             "tail_decreasing": tail,
         }
         try:

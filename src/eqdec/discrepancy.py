@@ -14,37 +14,12 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
 
 __all__ = [
-    "UniformityBudget",
     "DiscrepancyProfile",
     "block_sums",
     "cube_discrepancy",
     "profile",
     "summability_report",
 ]
-
-
-@dataclass(frozen=True)
-class UniformityBudget:
-    """Tabulated per-scale deviation budget of density delta.
-
-    ``psi[i]`` budgets scale 2^i; ``phi[i] = 2^i * psi[i]`` always.
-    """
-
-    delta: float
-    psi: tuple
-
-    def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ArgumentError("delta must be in (0,1)")
-        object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
-
-    @property
-    def phi(self) -> tuple:
-        return tuple(2**i * p for i, p in enumerate(self.psi))
-
-    @property
-    def i_max(self) -> int:
-        return len(self.psi) - 1
 
 
 @dataclass(frozen=True)
@@ -122,23 +97,18 @@ def profile(X: CellSet, delta: float, window: Rect, i_max: int) -> DiscrepancyPr
     )
 
 
-def summability_report(budget: UniformityBudget, d: int, horizon: int):
-    """Partial sums of psi(2^i)/2^((d-2)i) and phi(2^i)/2^((d-1)i).
+def summability_report(devs, d: int, horizon: int):
+    """Partial sums of dev_i / 2^((d-1)i) over the scales 2^0..2^horizon,
+    where ``devs[i]`` is the deviation at scale 2^i (``profile``'s
+    ``max_dev``).
 
-    Returns (psi_partials, phi_partials, tail_flag); the flag reports whether
-    the last three increments of both series are decreasing.
+    With the per-scale budget psi_i = dev_i / 2^i and phi_i = 2^i psi_i, this
+    is the series of phi_i / 2^((d-1)i), and term by term the series of
+    psi_i / 2^((d-2)i) too. Returns (partials, tail_flag); the flag reports
+    whether the last three terms decrease.
     """
-    if horizon > budget.i_max:
+    if horizon >= len(devs):
         raise ArgumentError("horizon exceeds tabulated scales")
-    psi_terms = [budget.psi[i] / 2 ** ((d - 2) * i) for i in range(horizon + 1)]
-    phi_terms = [budget.phi[i] / 2 ** ((d - 1) * i) for i in range(horizon + 1)]
-    psi_partials = tuple(np.cumsum(psi_terms).tolist())
-    phi_partials = tuple(np.cumsum(phi_terms).tolist())
-
-    def tail_ok(terms):
-        if len(terms) < 4:
-            return False
-        t = terms[-3:]
-        return t[0] > t[1] > t[2]
-
-    return psi_partials, phi_partials, tail_ok(psi_terms) and tail_ok(phi_terms)
+    terms = [devs[i] / 2 ** ((d - 1) * i) for i in range(horizon + 1)]
+    tail = len(terms) >= 4 and terms[-3] > terms[-2] > terms[-1]
+    return tuple(np.cumsum(terms).tolist()), tail

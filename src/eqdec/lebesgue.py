@@ -298,6 +298,7 @@ def _match_regions(win: CosetWindow, m: Matching, lows, sides) -> None:
     m.b_match[inside] = -1
     a_bits, b_bits = win.a_bits.bits, win.b_bits.bits
     greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m.m_cap, region_id=region)
+    # not redundant: without it, packing boxes the pass completed doubled square_fine's solve
     ids = region.ravel()
     valid = inside.ravel()
     free_a = a_bits.ravel() & (m.a_match.ravel() < 0) & valid

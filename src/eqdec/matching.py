@@ -17,9 +17,10 @@ a consistently maintained inverse map. The engine answers three questions:
 - can one side be covered into the other, with a Hall-deficient witness
   when not: ``cover_side``, which ``hall_deficiency`` runs for both sides.
   It runs ``ladder_max_matching`` and, when a required cell stays free,
-  reads the witness off one more forest sweep, which flips nothing and
-  labels the alternating-reachable cells. So the Baire side reaches the
-  engine only through ``greedy_offset_pass`` and ``_forest_sweep``;
+  reads the witness off the labels of its last sweep, the one that flipped
+  nothing, which hold the alternating-reachable cells. So the Baire side
+  reaches the engine only through ``greedy_offset_pass`` and
+  ``_forest_sweep``;
 - length-capped augmentation: a phase flips vertex-disjoint shortest
   augmenting paths no longer than its cap; ``_layered_bfs`` alone says
   whether one exists. It serves only the square side and the property suites.
@@ -56,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from eqdec.errors import ArgumentError
-from eqdec.lattice import CellSet, Rect, dilate
+from eqdec.lattice import Rect, dilate
 from eqdec.torus import offsets_row_major
 from eqdec.window import CosetWindow
 
@@ -638,9 +639,10 @@ def _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):
     return flips
 
 
-def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
+def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap, labels):
     """Fill empty match grids with a maximum matching: a nearest-first
-    ``greedy_offset_pass`` over the whole arrays, then ``hierarchy_augment``.
+    ``greedy_offset_pass`` over the whole arrays, then ``hierarchy_augment``
+    with the scratch ``labels``.
 
     Nearest-first offsets leave fewer augmenting paths than the canonical
     row-major order, which pairs each A-cell with its far (-M, ..., -M)
@@ -650,18 +652,19 @@ def ladder_max_matching(a_bits, b_bits, a_match, b_match, m_cap):
     """
     order = _offsets_nearest_first(m_cap, a_bits.ndim)
     greedy_offset_pass(a_bits, b_bits, a_match, b_match, m_cap, order=order)
-    return hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap)
+    return hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, labels)
 
 
-def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap):
+def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap, labels):
     """Drive a matching to maximum: ``_forest_sweep`` over the whole arrays
     until a sweep flips nothing, which certifies that no augmenting path
     remains. Returns the paths flipped. Each sweep flips up to one path per
     free A-cell, whatever its length, so no tiling of the arrays pays. Which
     maximum matching results is not canonical, so only the Baire side, whose
-    callers read a feasibility verdict, calls this.
+    callers read a feasibility verdict, calls this. ``labels`` is the
+    sweeps' scratch (``_forest_sweep``); when an A-cell stays free, it ends
+    holding the forest of the last sweep, the one that flipped nothing.
     """
-    labels = np.empty((2,) + a_bits.shape, dtype=np.int32)
     total = 0
     while flips := _forest_sweep(a_bits, b_bits, a_match, b_match, m_cap, labels):
         total += flips
@@ -670,11 +673,6 @@ def hierarchy_augment(a_bits, b_bits, a_match, b_match, m_cap):
 
 # ---------------------------------------------------------------------------
 # Public operations
-
-
-def _local_bits(win: CosetWindow, R: Rect):
-    sl = R.slices_in(win.window)
-    return win.a_bits.bits[sl], win.b_bits.bits[sl]
 
 
 @dataclass(frozen=True)
@@ -692,64 +690,44 @@ def cover_side(a_in, b_in, m_cap):
     Returns (ok, a_match, b_match, deficient_mask_or_None). Only the cover
     side carries vertices on A, so a maximum matching (``ladder_max_matching``)
     covers them exactly when any matching does; when it does not, the cells
-    its free ones reach by alternating paths form a Hall-deficient witness.
+    its free ones reach by alternating paths form a Hall-deficient witness,
+    read off the forest of the last sweep, which flipped nothing.
     """
     a_match = np.full(a_in.shape, -1, dtype=np.int32)
     b_match = np.full(a_in.shape, -1, dtype=np.int32)
-    ladder_max_matching(a_in, b_in, a_match, b_match, m_cap)
+    labels = np.empty((2,) + a_in.shape, dtype=np.int32)
+    ladder_max_matching(a_in, b_in, a_match, b_match, m_cap, labels)
     if not (a_in & (a_match < 0)).any():
         return True, a_match, b_match, None
-    # the matching is maximum, so this sweep flips nothing and its forest
-    # holds exactly the cells that alternating paths reach from free ones
-    labels = np.empty((2,) + a_in.shape, dtype=np.int32)
-    _forest_sweep(a_in, b_in, a_match, b_match, m_cap, labels)
     return False, a_match, b_match, labels[0] >= 0
 
 
-def hall_deficiency(win: CosetWindow, R: Rect, required_a: CellSet, required_b: CellSet):
+def hall_deficiency(win: CosetWindow, R: Rect, required_a, required_b):
     """Certificate that no matching covers both required sets, or None.
 
-    Coverage is checked per side (a matching saturating each required side
-    separately can always be combined into one saturating both). A covering
-    matching only uses partners within M of a required cell, so the search is
-    confined to that neighbourhood of the required set.
+    ``required_a`` and ``required_b`` are boolean masks shaped like R, each
+    true only on cells of its part (ArgumentError otherwise). Coverage is
+    checked per side (a matching saturating each required side separately
+    can always be combined into one saturating both). A covering matching
+    only uses partners within M of a required cell, so the search is
+    confined to that neighbourhood of the required cells' bounding box.
     """
-    req_cells = []
-    for cs in (required_a, required_b):
-        if cs.size():
-            req_cells.append(cs.cells())
-    if not req_cells:
+    if np.shape(required_a) != R.sides or np.shape(required_b) != R.sides:
+        raise ArgumentError("required masks must have the shape of R")
+    sl = R.slices_in(win.window)
+    a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
+    if np.any(required_a & ~a_bits) or np.any(required_b & ~b_bits):
+        raise ArgumentError("required cells must belong to their part")
+    cells = np.argwhere(required_a | required_b)
+    if len(cells) == 0:
         return None
     m_cap = win.sys.m_cap
-    allc = np.concatenate(req_cells)
-    lo = np.maximum(allc.min(axis=0) - m_cap, R.low)
-    hi = np.minimum(allc.max(axis=0) + m_cap + 1, np.array(R.high))
-    R_eff = Rect(tuple(int(x) for x in lo), tuple(int(b - a) for a, b in zip(lo, hi)))
-    a_bits, b_bits = _local_bits(win, R_eff)
-    low = np.array(R_eff.low)
-
-    def local_mask(cs: CellSet):
-        mask = np.zeros(R_eff.sides, dtype=bool)
-        if cs.size():
-            idx = cs.cells() - low
-            if np.any(idx < 0) or np.any(idx >= np.array(R_eff.sides)):
-                raise ArgumentError("required cells must lie in R")
-            mask[tuple(idx.T)] = True
-        return mask
-
-    req_a = local_mask(required_a)
-    req_b = local_mask(required_b)
-    if np.any(req_a & ~a_bits) or np.any(req_b & ~b_bits):
-        raise ArgumentError("required cells must belong to their part")
-    ok_a, _, _, witness = cover_side(req_a, b_bits, m_cap)
-    if not ok_a:
-        cells = np.argwhere(witness) + low
-        nb = int((dilate(witness, m_cap) & b_bits).sum())
-        return HallCertificate(side="A", cells=cells, neighborhood_size=nb)
-    ok_b, _, _, witness = cover_side(req_b, a_bits, m_cap)
-    if not ok_b:
-        cells = np.argwhere(witness) + low
-        nb = int((dilate(witness, m_cap) & a_bits).sum())
-        return HallCertificate(side="B", cells=cells, neighborhood_size=nb)
+    lo = np.maximum(cells.min(axis=0) - m_cap, 0)
+    hi = np.minimum(cells.max(axis=0) + m_cap + 1, R.sides)
+    box = tuple(map(slice, lo.tolist(), hi.tolist()))
+    for side, req, other in (("A", required_a, b_bits), ("B", required_b, a_bits)):
+        ok, _, _, witness = cover_side(req[box], other[box], m_cap)
+        if not ok:
+            nb = int((dilate(witness, m_cap) & other[box]).sum())
+            return HallCertificate(side, np.argwhere(witness) + lo + R.low, nb)
     return None
-

@@ -15,7 +15,6 @@ from eqdec.lebesgue import build_schedule, run_pipeline
 from eqdec.matching import (
     Matching,
     _layered_bfs,
-    _local_bits,
     augment_phase,
     augment_to_max,
     greedy_offset_pass,
@@ -146,7 +145,8 @@ def _canonical_max_matching(win: CosetWindow, R: Rect) -> Matching:
     depends only on the induced content, not on where R sits.
     """
     m_cap = win.sys.m_cap
-    a_bits, b_bits = _local_bits(win, R)
+    sl = R.slices_in(win.window)
+    a_bits, b_bits = win.a_bits.bits[sl], win.b_bits.bits[sl]
     m = Matching(R, m_cap)
     greedy_offset_pass(a_bits, b_bits, m.a_match, m.b_match, m_cap)
     augment_to_max(a_bits, b_bits, m.a_match, m.b_match, m_cap)
@@ -233,7 +233,7 @@ def suite_hall(seed: int, trials: int = 1000):
         win = _bits_window(CellSet(R, a_bits), CellSet(R, b_bits), m_cap)
         ra = CellSet.from_cells(req_a, R) if req_a else CellSet.empty(R)
         rb = CellSet.from_cells(req_b, R) if req_b else CellSet.empty(R)
-        cert = hall_deficiency(win, R, ra, rb)
+        cert = hall_deficiency(win, R, ra.bits, rb.bits)
         truth = _enumerate_feasible(edges, req_a, req_b)
         if truth != (cert is None):
             bad += 1

@@ -389,6 +389,8 @@ def boundary_dimension_estimate(
     log measure against log eps.
     """
     eps = [float(e) for e in eps_ladder]
+    if len(eps) < 2:
+        raise ArgumentError("eps_ladder needs at least two entries to fit a dimension")
     if any(not 0 < e < 0.25 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ArgumentError("eps_ladder must be strictly decreasing within (0, 0.25)")
     if samples < 10_000:

@@ -174,7 +174,7 @@ def test_criterion_6_baire_run(baire_run):
 
 
 def test_criterion_7_discrepancy_sanity():
-    from eqdec.discrepancy import UniformityBudget, profile, summability_report
+    from eqdec.discrepancy import profile, summability_report
     from eqdec.lattice import CellSet
 
     R = Rect((0, 0), (128, 128))
@@ -194,10 +194,7 @@ def test_criterion_7_discrepancy_sanity():
         delta = float(cs.bits.mean())
         prof = profile(cs, delta, win.window, 6)
         assert prof.fitted_exponent < 2.0
-        budget = UniformityBudget(
-            delta=delta, psi=[dev / (1 << i) for i, dev in enumerate(prof.max_dev)]
-        )
-        _, phi_sums, _ = summability_report(budget, 2, 6)
+        phi_sums, _ = summability_report(prof.max_dev, 2, 6)
         lines.append(f"{name}: alpha={prof.fitted_exponent:.2f} phi-partial-sums="
                      f"{[round(s, 2) for s in phi_sums]}")
     print(

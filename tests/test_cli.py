@@ -85,6 +85,11 @@ MALFORMED_CONFIGS = {
     "radii-empty": ("baire", '{"radii": []}'),
     "radii-zero": ("baire", '{"window": 256, "radii": [0, 8]}'),
     "levels-negative": ("square", '{"window": 256, "ladder": [4, 8, 16], "levels": -1}'),
+    # np.sqrt warned twice, with source lines, before the error line
+    "area-negative": ("square", '{"window": 64, "area": -1}'),
+    # a boundary dimension fitted through fewer than two scales
+    "eps-ladder-empty": ("audit", '{"window": 64, "eps_ladder": []}'),
+    "eps-ladder-one": ("audit", '{"window": 64, "eps_ladder": [0.1]}'),
 }
 
 

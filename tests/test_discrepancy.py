@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eqdec.discrepancy import (
-    UniformityBudget,
     block_sums,
     cube_discrepancy,
     profile,
@@ -103,26 +102,19 @@ def test_profile_csv():
     assert len(csv.splitlines()) == 6
 
 
-def test_budget_phi_identity():
-    budget = UniformityBudget(delta=0.4, psi=[1.0, 0.7, 0.5, 0.4])
-    for i, phi in enumerate(budget.phi):
-        assert phi == pytest.approx(2**i * budget.psi[i])
-
-
 def test_summability_geometric_and_constant():
-    # psi(2^i) = 2^((d-3) i) at d=4: partial sums of 2^-i approach 2
+    # deviations 2^((d-2) i) at d=4: partial sums of 2^-i approach 2
     d = 4
-    psi = [2.0 ** ((d - 3) * i) for i in range(11)]
-    budget = UniformityBudget(delta=0.5, psi=psi)
-    psi_sums, phi_sums, tail = summability_report(budget, d, 10)
-    assert psi_sums[-1] == pytest.approx(2.0, abs=2e-3)
+    devs = [2.0 ** ((d - 2) * i) for i in range(11)]
+    sums, tail = summability_report(devs, d, 10)
+    assert sums[-1] == pytest.approx(2.0, abs=2e-3)
     assert tail
-    const = UniformityBudget(delta=0.5, psi=[3.0] * 11)
-    psi_sums, _, tail = summability_report(const, 2, 10)
-    assert psi_sums[-1] == pytest.approx(33.0)
+    const = [3.0 * 2**i for i in range(11)]
+    sums, tail = summability_report(const, 2, 10)
+    assert sums[-1] == pytest.approx(33.0)
     assert not tail
     with pytest.raises(ArgumentError):
-        summability_report(const, 2, 99)
+        summability_report(const, 2, 11)
 
 
 def test_slice_uniformity_lifts_dimension():

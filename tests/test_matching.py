@@ -141,7 +141,7 @@ def test_hall_deficiency_examples():
     a = np.zeros((4, 4), dtype=bool)
     b = np.zeros((4, 4), dtype=bool)
     win = _bits_window(CellSet(R, a), CellSet(R, b), 1)
-    assert hall_deficiency(win, R, CellSet.empty(R), CellSet.empty(R)) is None
+    assert hall_deficiency(win, R, a, b) is None
 
     # two required A-cells sharing a single neighbour
     a2 = a.copy()
@@ -149,9 +149,17 @@ def test_hall_deficiency_examples():
     a2[0, 0] = a2[0, 2] = True
     b2[0, 1] = True
     win = _bits_window(CellSet(R, a2), CellSet(R, b2), 1)
-    cert = hall_deficiency(win, R, CellSet.from_cells([(0, 0), (0, 2)], R), CellSet.empty(R))
+    cert = hall_deficiency(win, R, CellSet.from_cells([(0, 0), (0, 2)], R).bits, b)
     assert cert is not None and cert.side == "A"
     assert len(cert.cells) == 2 and cert.neighborhood_size == 1
+
+    # masks not shaped like R, and a required cell outside its part
+    with pytest.raises(ArgumentError, match="shape of R"):
+        hall_deficiency(win, R, a2[:3], b)
+    with pytest.raises(ArgumentError, match="shape of R"):
+        hall_deficiency(win, R, CellSet.from_cells([(0, 0)], R), b)
+    with pytest.raises(ArgumentError, match="belong to their part"):
+        hall_deficiency(win, R, a2, b2 | a2)
 
 
 def test_hall_deficiency_vs_enumeration():
@@ -259,7 +267,8 @@ def test_ladder_and_cover_side_reach_maximum_whatever_the_greedy_order():
             b = rng.random(shape) < rng.uniform(0.2, 0.6)
             am = np.full(shape, -1, dtype=np.int32)
             bm = np.full(shape, -1, dtype=np.int32)
-            ladder_max_matching(a, b, am, bm, m_cap)
+            labels = np.empty((2,) + shape, dtype=np.int32)
+            ladder_max_matching(a, b, am, bm, m_cap, labels)
             m = Matching(Rect((0, 0), shape), m_cap, am, bm)
             m.validate(a, b)
             assert m.size() == scipy_max_matching_size(a, b, m_cap)
@@ -300,6 +309,26 @@ def test_cover_side_witness_is_the_alternating_reach():
     assert no_free_b > 200 and deficient - no_free_b > 50, (deficient, no_free_b)
 
 
+def test_cover_side_sweeps_once_past_the_maximum(monkeypatch):
+    # a deficient cover reads its witness off the sweep that flipped
+    # nothing, so no sweep follows it
+    real, flips = matching._forest_sweep, []
+
+    def counted(*args):
+        flips.append(real(*args))
+        return flips[-1]
+
+    monkeypatch.setattr(matching, "_forest_sweep", counted)
+    rng = np.random.default_rng(1)
+    a = rng.random((40, 40)) < 0.5
+    b = rng.random((40, 40)) < 0.3
+    ok, am, bm, witness = cover_side(a, b, 2)
+    assert not ok and flips == [2, 0]
+    assert int(witness.sum()) == 796
+    bfs = _layered_bfs(a, b, am, bm, offsets_row_major(2, 2), 2, 2 * a.size + 1)
+    assert np.array_equal(witness, bfs.layer_a >= 0)
+
+
 def test_hierarchy_augment_reaches_maximum_from_a_partial_matching():
     # sweeps reach a maximum from any matching, not only from the greedy
     # pass that ladder_max_matching runs first
@@ -314,7 +343,8 @@ def test_hierarchy_augment_reaches_maximum_from_a_partial_matching():
                 pre = _random_matching(rng, a, b, m_cap)
                 before = pre.size()
                 am, bm = pre.a_match.copy(), pre.b_match.copy()
-                flips = hierarchy_augment(a, b, am, bm, m_cap)
+                labels = np.empty((2,) + shape, dtype=np.int32)
+                flips = hierarchy_augment(a, b, am, bm, m_cap, labels)
                 m = Matching(Rect((0,) * d, shape), m_cap, am, bm)
                 m.validate(a, b)
                 assert m.size() == before + flips == scipy_max_matching_size(a, b, m_cap)

@@ -133,6 +133,9 @@ def test_boundary_dimension_validation():
     disk = Disk(TorusPoint([0.5, 0.5]), 0.2)
     with pytest.raises(ArgumentError):
         boundary_dimension_estimate(disk, [0.01, 0.02], 10_000, seed=1)
+    for short in ([], [0.1]):  # no line to fit through under two scales
+        with pytest.raises(ArgumentError, match="at least two"):
+            boundary_dimension_estimate(disk, short, 10_000, seed=1)
     with pytest.raises(ArgumentError):
         boundary_dimension_estimate(disk, [0.04, 0.02], 100, seed=1)
 
