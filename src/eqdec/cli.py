@@ -179,11 +179,11 @@ def cmd_audit(args) -> int:
     win, echo, shape_a, shape_b = _setup(cfg)
     out = _outdir(cfg)
     i_max = int(cfg.get("i_max", 6))
-    result = {"config": echo}
+    result, csv = {"config": echo}, {}
     for name, cs, shape in (("a", win.a_bits, shape_a), ("b", win.b_bits, shape_b)):
         delta = float(cs.bits.mean())
         prof = profile(cs, delta, win.window, i_max)
-        (out / f"audit_{name}.csv").write_text(prof.to_csv())
+        csv[name] = prof.to_csv()
         phi_sums, tail = summability_report(prof.max_dev, cfg["d"], i_max)
         entry = {
             "delta": delta,
@@ -207,6 +207,8 @@ def cmd_audit(args) -> int:
         except EstimateError as e:
             entry["boundary_dimension"] = {"error": str(e)}
         result[name] = entry
+    for name, text in csv.items():  # after both shapes, so a config error writes nothing
+        (out / f"audit_{name}.csv").write_text(text)
     (out / "audit.json").write_text(json.dumps(result, indent=2, sort_keys=True))
     print(f"audit written to {out}/audit_[ab].csv and {out}/audit.json")
     return 0

@@ -1,6 +1,6 @@
-"""Finite-window primitives on Z^d: rectangles, cell sets, dilation,
-perimeters and the isoperimetric bound, and the node boxes of the merged
-binary rectangle tree, computed for many cubes at once as numpy arrays.
+"""Finite-window primitives on Z^d: rectangles, cell sets, window reductions
+and dilation, perimeters, the isoperimetric bound, and the merged binary
+rectangle tree's node boxes for many cubes at once as numpy arrays.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from eqdec.errors import ArgumentError
 
@@ -120,11 +119,34 @@ class CellSet:
         return idx + np.array(self.rect.low)
 
 
+def window_reduce(out, shape, m, op):
+    """``op`` over the (2m+1)^d window of each cell of a grid of ``shape``,
+    given as ``out`` padded by m on every side. Per axis: log-step doubling,
+    one ``op`` of two shifted views per step (spans 1, 2, 4, ... up to the
+    largest power of two not above 2m + 1), then one overlapping step for the
+    rest, so ``op`` must be idempotent (``np.minimum``, ``np.logical_or``).
+    """
+    width = 2 * m + 1
+    for axis, side in enumerate(shape):
+        span = 1
+        while 2 * span <= width:
+            cut = out.shape[axis] - span
+            out = op(_along(out, axis, 0, cut), _along(out, axis, span, cut))
+            span *= 2
+        if span < width:
+            out = op(_along(out, axis, 0, side), _along(out, axis, width - span, side))
+    return out
+
+
+def _along(a, axis, start, n):
+    """The view of ``a`` holding ``n`` slices from ``start`` along ``axis``."""
+    return a[(slice(None),) * axis + (slice(start, start + n),)]
+
+
 def dilate(bits: np.ndarray, m: int) -> np.ndarray:
     """Cells within sup-norm distance m of a true cell (no growth of the array)."""
-    if m == 0:
-        return bits.copy()
-    return maximum_filter(bits.astype(np.uint8), size=2 * m + 1, mode="constant") > 0
+    bits = np.asarray(bits, dtype=bool)
+    return window_reduce(np.pad(bits, m), bits.shape, m, np.logical_or)
 
 
 def perimeter(X: CellSet) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect, rect_tree_boxes
@@ -197,6 +196,26 @@ def integer_voronoi(S: CellSet, window: Rect, cover_radius: int | None = None):
     return owner, seeds
 
 
+def _cell_boxes(owner, n):
+    """Each label 0..n-1's bounding box in ``owner`` (-1: no label) as (n, d)
+    arrays lo, hi (exclusive), lo = hi = 0 when absent. Read off the row-major
+    runs of one label, cut at line ends too, so a run varies its last index only."""
+    flat = owner.reshape(-1)
+    cut = np.r_[True, flat[1:] != flat[:-1]]
+    cut[:: owner.shape[-1]] = True
+    starts = np.flatnonzero(cut)
+    runs = np.stack([starts, np.r_[starts[1:], flat.size] - 1])[:, flat[starts] >= 0]
+    first, last = (np.unravel_index(r, owner.shape) for r in runs)
+    label = flat[runs[0]]
+    lo = np.full((n, owner.ndim), flat.size, dtype=np.int64)
+    hi = np.zeros((n, owner.ndim), dtype=np.int64)
+    for j in range(owner.ndim):
+        np.minimum.at(lo[:, j], label, first[j])
+        np.maximum.at(hi[:, j], label, last[j] + 1)
+    lo[hi[:, 0] == 0] = 0
+    return lo, hi
+
+
 def grid_domain(S: CellSet, n_cube: int, voronoi, window: Rect, level: int = 0) -> GridDomain:
     """All n_cube-cubes aligned to their seed's grid and fully inside its cell.
 
@@ -210,20 +229,14 @@ def grid_domain(S: CellSet, n_cube: int, voronoi, window: Rect, level: int = 0) 
     cube_id = np.full(window.sides, -1, dtype=np.int32)
     lows, seed_of = [], []
     next_id = 0
-    boxes = ndimage.find_objects(owner + 1, max_label=len(seeds))
-    for si, (s, box) in enumerate(zip(seeds, boxes)):
-        if box is None:
-            continue
-        lo = np.array([b.start for b in box])
-        hi = np.array([b.stop for b in box])
-        start = lo + (s - low - lo) % n_cube
-        count = (hi - start) // n_cube
-        if np.any(count <= 0):
-            continue
-        region = tuple(slice(int(a), int(a + c * n_cube)) for a, c in zip(start, count))
+    lo, hi = _cell_boxes(owner, len(seeds))
+    start = lo + (seeds - low - lo) % n_cube
+    count = (hi - start) // n_cube  # never positive on an absent cell's empty box
+    for si in np.flatnonzero(np.all(count > 0, axis=1)):
+        region = tuple(slice(int(a), int(a + c * n_cube)) for a, c in zip(start[si], count[si]))
         sub = owner[region] == si
         shape = []
-        for c in count:
+        for c in count[si]:
             shape.extend([int(c), n_cube])
         blocks = sub.reshape(shape)
         # reduce the per-cube axes: all cells of the cube must belong to si
@@ -239,7 +252,7 @@ def grid_domain(S: CellSet, n_cube: int, voronoi, window: Rect, level: int = 0) 
             expanded = np.repeat(expanded, n_cube, axis=ax)
         target = cube_id[region]
         cube_id[region] = np.where(expanded >= 0, expanded, target)
-        cube_lo = accepted * n_cube + start + low
+        cube_lo = accepted * n_cube + start[si] + low
         lows.append(cube_lo)
         seed_of.append(np.full(len(accepted), si, dtype=np.int32))
         next_id += len(accepted)

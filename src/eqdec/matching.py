@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from eqdec.errors import ArgumentError
-from eqdec.lattice import Rect, dilate
+from eqdec.lattice import Rect, dilate, window_reduce
 from eqdec.torus import offsets_row_major
 from eqdec.window import CosetWindow
 
@@ -221,35 +221,15 @@ class BfsLayers(NamedTuple):
 
 
 def _window_min(pts, shape, m_cap):
-    """The (2M+1)^d sliding minimum of a grid of ``shape`` that holds the
-    rank i at the cell ``pts[i]`` and the sentinel n = ``len(pts)`` at every
-    other cell and outside, in the narrowest unsigned type that holds n.
-
-    The grid is built padded by M with n. Each axis then takes log-step
-    doubling, one ``np.minimum`` of two shifted views per step (spans 1, 2,
-    4, ... up to the largest power of two not above 2M + 1), and one
-    overlapping step for the rest. A minimum is exact, so the result is
-    scipy's ``minimum_filter`` with ``mode="constant"`` and ``cval=n``, and
-    only the running result and its successor are alive at once.
+    """The (2M+1)^d sliding minimum (``window_reduce``) of a grid of ``shape``
+    that holds the rank i at the cell ``pts[i]`` and the sentinel n =
+    ``len(pts)`` at every other cell and outside, in the narrowest unsigned
+    type that holds n: scipy's ``minimum_filter`` with ``cval=n``.
     """
     n = len(pts)
-    width = 2 * m_cap + 1
     out = np.full(tuple(s + 2 * m_cap for s in shape), n, dtype=np.min_scalar_type(n))
     out[tuple((pts + m_cap).T)] = np.arange(n, dtype=out.dtype)
-    for axis, side in enumerate(shape):
-        span = 1
-        while 2 * span <= width:
-            cut = out.shape[axis] - span
-            out = np.minimum(_along(out, axis, 0, cut), _along(out, axis, span, cut))
-            span *= 2
-        if span < width:
-            out = np.minimum(_along(out, axis, 0, side), _along(out, axis, width - span, side))
-    return out
-
-
-def _along(a, axis, start, n):
-    """The view of ``a`` holding ``n`` slices from ``start`` along ``axis``."""
-    return a[(slice(None),) * axis + (slice(start, start + n),)]
+    return window_reduce(out, shape, m_cap, np.minimum)
 
 
 def _a_to_b(pts, b_bits, label_b, m_cap):

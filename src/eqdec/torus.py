@@ -301,7 +301,9 @@ class Bitmap(Shape):
             edge |= self.bits != np.roll(self.bits, -1, axis=ax)
         if not edge.any():
             return np.full(len(pts), np.inf)
-        dist = distance_transform_cdt(~edge, metric="chessboard").astype(np.float64)
+        p = self.resolution // 2 + 1  # torus distances are at most res // 2
+        wrapped = ~np.pad(edge, p, mode="wrap")
+        dist = distance_transform_cdt(wrapped, metric="chessboard")[p:-p, p:-p]
         idx = np.floor(np.asarray(pts) * self.resolution).astype(np.int64) % self.resolution
         return np.maximum(dist[idx[:, 0], idx[:, 1]] - 0.5, 0.0) / self.resolution
 

@@ -103,6 +103,27 @@ def test_malformed_config_exits_2(tmp_path, command, text):
     assert proc.returncode == 2 and "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+    assert not list(tmp_path.glob("audit*"))  # no partial output
+
+
+def test_pipeline_runs_load_no_scipy(tmp_path):
+    # a cold start pays for every import: the modules a pipeline run needs,
+    # and both pipelines themselves, use numpy only
+    script = f"""
+import sys
+import eqdec.baire, eqdec.cli, eqdec.io_render, eqdec.lebesgue, eqdec.suites
+codes = [
+    eqdec.cli.main(["square", "--window", "64", "--ladder", "8", "--out", {str(tmp_path)!r}]),
+    eqdec.cli.main(["baire", "--window", "96", "--radii", "6", "--out", {str(tmp_path)!r}]),
+]
+print(codes, sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(eqdec.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 # negative integers that used to reach numpy or an index deep in a run

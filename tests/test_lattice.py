@@ -5,6 +5,7 @@ from eqdec.errors import ArgumentError
 from eqdec.lattice import (
     CellSet,
     Rect,
+    dilate,
     internal_boundary,
     isoperimetry_check,
     perimeter,
@@ -156,3 +157,28 @@ def test_rect_tree_validation():
         rect_tree_boxes([(0, 0)], [(0, 0)], 16, 4, 3)  # below the basic level
     with pytest.raises(ArgumentError):
         rect_tree_boxes([(0, 0)], [(0, 0, 0)], 16, 4, 1)  # origin of another dimension
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dilate_equals_scipy_maximum_filter(d):
+    from scipy.ndimage import maximum_filter
+
+    rng = np.random.default_rng(60 + d)
+    narrow = 0
+    for m in range(10):
+        for case in range(8):
+            # sides from 1 to past 2m + 1, so some arrays are narrower than a window
+            shape = tuple(int(s) for s in rng.integers(1, min(2 * m + 6, 60 // d), size=d))
+            if case == 0:
+                bits = np.zeros(shape, dtype=bool)
+            elif case == 1:
+                bits = np.ones(shape, dtype=bool)
+            else:
+                bits = rng.random(shape) < rng.choice([0.02, 0.1, 0.4])
+                corner = tuple(int(rng.integers(2)) * (s - 1) for s in shape)
+                bits[corner] = True  # a true cell on the border
+            want = maximum_filter(bits.astype(np.uint8), size=2 * m + 1, mode="constant") > 0
+            got = dilate(bits, m)
+            assert got.dtype == bool and np.array_equal(got, want), (shape, m, case)
+            narrow += min(shape) < 2 * m + 1
+    assert narrow > 0

@@ -10,6 +10,7 @@ from eqdec.cli import _setup
 from eqdec.errors import ArgumentError
 from eqdec.lattice import CellSet, Rect
 from eqdec.lebesgue import (
+    _cell_boxes,
     _refine_all,
     build_schedule,
     grid_domain,
@@ -153,6 +154,40 @@ def test_grid_domain_matches_whole_window_reference():
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
     assert ties > 50  # sup-norm ties (owner -1) are well represented
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_boxes_equal_scipy_find_objects(d):
+    from scipy.ndimage import find_objects
+
+    def check(owner, n):
+        lo, hi = _cell_boxes(owner, n)
+        assert lo.shape == hi.shape == (n, d)
+        for label, box in enumerate(find_objects(owner + 1, max_label=n)):
+            if box is None:  # an absent label: the empty box
+                assert not lo[label].any() and not hi[label].any()
+            else:
+                assert lo[label].tolist() == [b.start for b in box]
+                assert hi[label].tolist() == [b.stop for b in box]
+
+    rng = np.random.default_rng(70 + d)
+    check(np.full((5,) * d, -1, dtype=np.int32), 3)
+    single = np.full((6,) * d, -1, dtype=np.int32)
+    single[(0,) * d] = 0
+    single[(5,) * d] = 2  # one-cell cells in opposite corners, label 1 absent
+    check(single, 4)
+    for _ in range(40):
+        shape = tuple(int(s) for s in rng.integers(1, 60 // d + 1, size=d))
+        n = int(rng.integers(1, 12))
+        # labels drawn from -1..n+1, so some of 0..n-1 never occur
+        owner = rng.integers(-1, n + 2, size=shape).astype(np.int32)
+        owner[owner >= n] = -1
+        check(owner, n)
+        # blocky cells, as Voronoi cells are, with runs across line ends
+        coarse = rng.integers(-1, n, size=tuple(-(-s // 4) for s in shape)).astype(np.int32)
+        for ax in range(d):
+            coarse = np.repeat(coarse, 4, axis=ax)
+        check(np.ascontiguousarray(coarse[tuple(slice(0, s) for s in shape)]), n)
 
 
 # SHA-256 of a_match + b_match bytes for `eqdec square --window 256 --ladder L

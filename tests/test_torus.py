@@ -140,6 +140,32 @@ def test_boundary_dimension_validation():
         boundary_dimension_estimate(disk, [0.04, 0.02], 100, seed=1)
 
 
+def test_bitmap_boundary_distance_wraps_the_torus():
+    # edge cells differ from a periodic 4-neighbour; a cell's distance is its
+    # periodic L-infinity distance to the nearest one, less half a cell
+    res = 16
+    centres = (np.argwhere(np.ones((res, res), dtype=bool)) + 0.5) / res
+
+    def brute(bits):
+        edge = np.zeros_like(bits)
+        for ax in (0, 1):
+            for step in (1, -1):
+                edge |= bits != np.roll(bits, step, axis=ax)
+        diff = np.abs(np.argwhere(np.ones_like(bits))[:, None] - np.argwhere(edge)[None])
+        dist = np.minimum(diff, res - diff).max(axis=2).min(axis=1)
+        return np.maximum(dist - 0.5, 0.0) / res
+
+    stripe = np.zeros((res, res), dtype=bool)
+    stripe[:, 2:6] = True
+    got = Bitmap(res, stripe).boundary_distance(np.array([[0.5, 15.5 / res]]))
+    assert got.tolist() == [1.5 / res]  # the nearest edge lies across the wrap
+    rng = np.random.default_rng(9)
+    for density in (0.02, 0.05, 0.2, 0.5):
+        for _ in range(5):
+            bits = rng.random((res, res)) < density
+            assert np.array_equal(Bitmap(res, bits).boundary_distance(centres), brute(bits))
+
+
 def test_shape_json_round_trip():
     disk = shape_from_json({"type": "disk", "center": [0.5, 0.5], "radius": 0.2})
     assert isinstance(disk, Disk)
