@@ -28,6 +28,7 @@ from eqdec.window import (
     SparseColoring,
     _min_translation_distance,
     build_sparse_coloring,
+    coords_at,
 )
 
 __all__ = [
@@ -88,7 +89,6 @@ def build_nets(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6E657473]))
     alpha = rng.random(win.sys.k)
     y0 = rng.random(win.sys.k)
-    coords = win.torus_coords()
     nets, sides = [], []
     for level, r in enumerate(radii, start=1):
         side = net_side(level)
@@ -102,7 +102,7 @@ def build_nets(
         sl = tuple(slice(margin, s - margin) for s in win.window.sides)  # empty once margins meet
         inner = part[sl]
         part_idx = np.argwhere(inner) + margin
-        part_coords = coords[sl][inner]
+        part_coords = coords_at(win, part_idx)
         order = np.argsort(part_coords[:, 0], kind="stable")
         first = part_coords[order, 0]
         kept: list[np.ndarray] = []
@@ -322,11 +322,11 @@ def _sparse_edges(edges, bound: int) -> bool:
     return bool((gap[np.triu_indices(len(ends), 1)] > bound).all())
 
 
-def _colour_order(coloring: SparseColoring, coords, cells):
+def _colour_order(coloring: SparseColoring, win: CosetWindow, cells):
     """The stable order of the window cells ``cells`` (an (n, d) array,
     relative to the window) by the colour of their torus points: given in
     row-major order, they come out in (colour, row-major) order."""
-    return np.argsort(coloring.color_of(coords[tuple(cells.T)]), kind="stable")
+    return np.argsort(coloring.color_of(coords_at(win, cells)), kind="stable")
 
 
 def greedy_step(
@@ -350,14 +350,13 @@ def greedy_step(
     r_i = ladder.radii[level - 1]
     m_cap = win.sys.m_cap
     out = m_prev.copy()
-    coords = win.torus_coords()
     low = np.array(win.window.low)
     other_bits = win.a_bits.bits if side == "B" else win.b_bits.bits
     own_matched = out.a_match if side == "A" else out.b_match
     other_matched = out.b_match if side == "A" else out.a_match
     offs = offsets_row_major(m_cap, win.d)
     net_cells = np.argwhere(net.bits)  # row-major, relative to the window
-    net_cells = net_cells[_colour_order(coloring, coords, net_cells)]
+    net_cells = net_cells[_colour_order(coloring, win, net_cells)]
     added = []  # (A-cell, B-cell) of each added edge, relative to the window
     for rel in net_cells:
         if own_matched[tuple(rel)] >= 0:
@@ -367,7 +366,7 @@ def greedy_step(
         cands = np.flatnonzero(np.all((partners >= 0) & (partners < win.window.sides), axis=1))
         at = tuple(partners[cands].T)
         cands = cands[other_bits[at] & (other_matched[at] < 0)]
-        cands = cands[_colour_order(coloring, coords, partners[cands])]
+        cands = cands[_colour_order(coloring, win, partners[cands])]
         cell = tuple((rel + low).tolist())
         ctx = _OracleContext(m_prev, win, cell, side, horizon)
         for j in cands.tolist():

@@ -158,7 +158,10 @@ def _setup(cfg):
     window = Rect((-L // 2,) * cfg["d"], (L,) * cfg["d"])
     win = extract_window(shape_a, shape_b, sys, u, window)
     echo = dict(cfg)
-    echo["shape_a"], echo["shape_b"] = ja, jb
+    # a bitmap read from a PGM is echoed by its bits, so the file stands alone
+    echo["shape_a"], echo["shape_b"] = (
+        s.to_json() if "pgm" in j else j for s, j in ((shape_a, ja), (shape_b, jb))
+    )
     echo["base"] = list(u.coords)
     # execution-only knobs must not affect output bytes
     echo.pop("threads", None)

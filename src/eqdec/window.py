@@ -4,7 +4,8 @@ classes, greedy maximal sparse nets, and the local-rule / equivariance harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -21,26 +22,50 @@ __all__ = [
     "greedy_sparse_net",
     "equivariance_check",
     "torus_coords",
+    "coords_at",
 ]
 
 DEFAULT_CELL_CAP = 1 << 26
+# Cells per slab of rows whose torus coordinates are alive at once (at least
+# one row, or one plane at d = 3): no window-sized float array is ever built.
+SLAB_CELLS = 1 << 14
 
 
 def torus_coords(sys: FreeVectorSystem, u: TorusPoint, window: Rect) -> np.ndarray:
     """Torus coordinates of every window cell, shape sides + (k,)."""
-    d, k = sys.d, sys.k
-    if window.d != d:
+    if window.d != sys.d:
         raise ArgumentError("window dimension must match the vector system")
-    acc = np.broadcast_to(u.array(), window.sides + (k,)).copy()
-    for j in range(d):
-        n = np.arange(window.low[j], window.low[j] + window.sides[j], dtype=np.float64)
-        term = np.multiply.outer(n, sys.vectors[j])
-        shape = [1] * d + [k]
-        shape[j] = window.sides[j]
-        acc += term.reshape(shape)
+    ns = []
+    for j, (low, side) in enumerate(zip(window.low, window.sides)):
+        shape = [1] * sys.d
+        shape[j] = side
+        ns.append(np.arange(low, low + side, dtype=np.float64).reshape(shape))
+    return _coords(sys, u, ns)
+
+
+def _coords(sys: FreeVectorSystem, u: TorusPoint, ns) -> np.ndarray:
+    """u + sum_j ns[j] v_j folded into [0, 1), shape broadcast(ns) + (k,), for
+    d broadcastable float64 lattice coordinates ``ns``. It runs one torus axis
+    at a time, so numpy's inner loops run along the lattice axes, not k."""
+    acc = np.empty(np.broadcast_shapes(*(n.shape for n in ns)) + (sys.k,))
+    for c, (uc, vc) in enumerate(zip(u.coords, sys.vectors.T, strict=True)):
+        plane = acc[..., c]
+        plane[...] = uc
+        for n, v in zip(ns, vc):
+            plane += n * v
     acc -= np.floor(acc)
     acc[acc >= 1.0] = 0.0
     return acc
+
+
+def _slabs(window: Rect):
+    """(first row, stop row, sub-rect) of consecutive slabs of axis-0 rows,
+    each about ``SLAB_CELLS`` cells and at least one row."""
+    rows = max(1, SLAB_CELLS // prod(window.sides[1:]))
+    for lo in range(0, window.sides[0], rows):
+        hi = min(lo + rows, window.sides[0])
+        low = (window.low[0] + lo,) + window.low[1:]
+        yield lo, hi, Rect(low, (hi - lo,) + window.sides[1:])
 
 
 @dataclass
@@ -52,16 +77,10 @@ class CosetWindow:
     window: Rect
     a_bits: CellSet
     b_bits: CellSet
-    _coords: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.window.d
-
-    def torus_coords(self) -> np.ndarray:
-        if self._coords is None:
-            self._coords = torus_coords(self.sys, self.base, self.window)
-        return self._coords
 
     def core_rect(self, margin: int) -> Rect:
         """The window minus ``margin`` cells on every side: the cells far enough
@@ -72,6 +91,13 @@ class CosetWindow:
         return Rect(tuple(l + margin for l in self.window.low), sides)
 
 
+def coords_at(win: CosetWindow, cells: np.ndarray) -> np.ndarray:
+    """Torus coordinates of the (n, d) window-relative ``cells``, shape (n, k):
+    the same operations as ``torus_coords``, so the same bits."""
+    ns = [(cells[:, j] + low).astype(np.float64) for j, low in enumerate(win.window.low)]
+    return _coords(win.sys, win.base, ns)
+
+
 def extract_window(
     shape_a: Shape,
     shape_b: Shape,
@@ -80,22 +106,23 @@ def extract_window(
     window: Rect,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> CosetWindow:
-    """Evaluate both shapes at every coset point of the window."""
+    """Evaluate both shapes at every coset point of the window, one slab of
+    rows at a time."""
     if window.volume() > cell_cap:
         raise ResourceError(f"window volume {window.volume()} exceeds cap {cell_cap}")
-    coords = torus_coords(sys, u, window)
-    flat = coords.reshape(-1, sys.k)
-    a = shape_a.contains_batch(flat).reshape(window.sides)
-    b = shape_b.contains_batch(flat).reshape(window.sides)
-    win = CosetWindow(
+    a = np.empty(window.sides, dtype=bool)
+    b = np.empty(window.sides, dtype=bool)
+    for lo, hi, slab in _slabs(window):
+        flat = torus_coords(sys, u, slab).reshape(-1, sys.k)
+        a[lo:hi] = shape_a.contains_batch(flat).reshape(slab.sides)
+        b[lo:hi] = shape_b.contains_batch(flat).reshape(slab.sides)
+    return CosetWindow(
         base=u,
         sys=sys,
         window=window,
         a_bits=CellSet(window, a),
         b_bits=CellSet(window, b),
     )
-    win._coords = coords
-    return win
 
 
 @dataclass(frozen=True)
@@ -164,15 +191,18 @@ def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> Cel
     conflict with each other). Classes can far outnumber net cells (243,049
     for 39 at r = 128 on a 1024^2 window), so the scan jumps to the next
     class that still holds an uncovered cell, searching in doubling chunks.
+    The colours are computed one slab of rows at a time, then sorted in place
+    once their stable order is taken, so a class is a run of equal colours.
     """
     if coloring.radius < r:
         raise ArgumentError("coloring was built for a smaller sparsity radius")
     sides = win.window.sides
-    colors = coloring.color_of(win.torus_coords()).reshape(-1)
+    colors = np.empty(sides, dtype=np.int64)
+    for lo, hi, slab in _slabs(win.window):
+        colors[lo:hi] = coloring.color_of(torus_coords(win.sys, win.base, slab))
+    colors = colors.reshape(-1)
     order = np.argsort(colors, kind="stable")
-    sorted_colors = colors[order]
-    group_starts = np.flatnonzero(np.diff(sorted_colors, prepend=sorted_colors[0] - 1))
-    group_ends = np.append(group_starts[1:], len(order))
+    colors.sort()
     covered = np.zeros(sides, dtype=bool)
     flat_covered = covered.reshape(-1)
     net = np.zeros(sides, dtype=bool)
@@ -183,8 +213,9 @@ def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> Cel
             pos += step
             step *= 2
             continue
-        gi = np.searchsorted(group_starts, pos + hit[0], side="right") - 1
-        cand = order[group_starts[gi] : group_ends[gi]]
+        start = pos + hit[0]  # the cells of its class before it are covered
+        end = np.searchsorted(colors, colors[start], side="right")
+        cand = order[start:end]
         cand = cand[~flat_covered[cand]]
         net.reshape(-1)[cand] = True
         for flat_idx in cand:
@@ -193,7 +224,7 @@ def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> Cel
                 slice(max(0, c - r), min(s, c + r + 1)) for c, s in zip(cell, sides)
             )
             covered[sl] = True
-        pos, step = group_ends[gi], 64
+        pos, step = end, 64
     return CellSet(win.window, net)
 
 

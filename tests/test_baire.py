@@ -27,7 +27,13 @@ from eqdec.torus import (
     sample_free_system,
     torus_delta,
 )
-from eqdec.window import _min_translation_distance, build_sparse_coloring, extract_window
+from eqdec.window import (
+    _min_translation_distance,
+    build_sparse_coloring,
+    coords_at,
+    extract_window,
+    torus_coords,
+)
 from test_matching import scipy_max_matching_size
 
 
@@ -84,7 +90,7 @@ def _build_nets_reference(win, radii, seed, placement_margins, candidate_cap, ne
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6E657473]))
     alpha = rng.random(win.sys.k)
     y0 = rng.random(win.sys.k)
-    coords = win.torus_coords()
+    coords = torus_coords(win.sys, win.base, win.window)
     nets, wrapped = [], 0
     for level, r in enumerate(radii, start=1):
         part = win.a_bits.bits if net_side(level) == "A" else win.b_bits.bits
@@ -305,6 +311,31 @@ def test_baire_three_level_golden_hash():
     m = run_baire(_window(768), (8, 24, 72), seed=11, net_cap=6).matching
     digest = hashlib.sha256(m.a_match.tobytes() + m.b_match.tobytes()).hexdigest()
     assert digest == GOLDEN_BAIRE_THREE_LEVELS
+
+
+# A run whose oracle rejects candidates and which still completes: M = 3 on
+# the acceptance shapes and base, 160² window, radii 8/24, horizon 2 r_i.
+GOLDEN_BAIRE_REJECTING = "f0c03e63a64d42e0dd87a58c9299a78d14fd70064bc89b7f8bbd17b3a8531bd9"
+
+
+def test_baire_run_that_rejects_candidates(monkeypatch):
+    from test_acceptance import make_window
+
+    verdicts = []
+    check = _OracleContext.check
+
+    def counted(self, partner):
+        verdicts.append(check(self, partner))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_OracleContext, "check", counted)
+    win = make_window(160, m_cap=3, seed=0)
+    res = run_baire(win, (8, 24), seed=0, horizon_factor=2, candidate_cap=64, net_cap=8)
+    assert (len(verdicts), verdicts.count(False)) == (14, 4)
+    assert all(r.hall_ok and r.sparsity_ok for r in res.reports) and len(res.reports) == 2
+    m = res.matching
+    digest = hashlib.sha256(m.a_match.tobytes() + m.b_match.tobytes()).hexdigest()
+    assert digest == GOLDEN_BAIRE_REJECTING
 
 
 def test_greedy_step_leaves_the_matching_it_extends_unchanged():

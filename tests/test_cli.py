@@ -258,6 +258,25 @@ def test_verify_catches_double_matched_cell(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL: stored pieces map two cells to one target")
 
 
+def test_bitmap_run_verifies_without_its_pgm(tmp_path, monkeypatch, capsys):
+    # the file echoes the bitmap's bits, not the path it was read from
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(run_dir)
+    raster = np.where(np.random.default_rng(2).random((32, 32)) < 0.3, 255, 0).astype(np.uint8)
+    Path("mask.pgm").write_bytes(b"P5\n32 32\n255\n" + raster.tobytes())
+    config = {"window": 64, "ladder": [2, 4], "m_cap": 4}
+    config["shape_a"] = {"type": "bitmap", "pgm": "mask.pgm"}
+    Path("config.json").write_text(json.dumps(config))
+    assert run_cli("square", "--config", "config.json", "--seed", 3, "--out", "out") == 0
+    Path("mask.pgm").unlink()
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    assert run_cli("verify", run_dir / "out" / "square.eqdc") == 0
+    assert capsys.readouterr().out.startswith("PASS: ")
+
+
 def _offset(k, m_cap):
     box = 2 * m_cap + 1
     return np.array([k // box - m_cap, k % box - m_cap])

@@ -7,10 +7,20 @@ import pytest
 
 from eqdec.errors import ArgumentError, PrecisionError, ResourceError
 from eqdec.lattice import Rect
-from eqdec.torus import AxisSquare, Bitmap, Disk, FreeVectorSystem, TorusPoint, sample_free_system
+from eqdec.torus import (
+    AxisSquare,
+    Bitmap,
+    Disk,
+    FreeVectorSystem,
+    Polygon,
+    TorusPoint,
+    sample_free_system,
+)
 from eqdec.window import (
+    SLAB_CELLS,
     _min_translation_distance,
     build_sparse_coloring,
+    coords_at,
     extract_window,
     greedy_sparse_net,
     torus_coords,
@@ -71,6 +81,82 @@ def test_torus_coords_match_coset_point():
             n = (R.low[0] + i, R.low[1] + j)
             expect = coset_point(u, n, sys).coords
             assert np.allclose(coords[i, j], expect, atol=1e-12)
+
+
+def _all_shapes():
+    disk, square = _shapes()
+    polygon = Polygon(tuple(TorusPoint(v) for v in ([0.1, 0.2], [0.7, 0.3], [0.4, 0.9])))
+    bits = np.random.default_rng(3).random((16, 16)) < 0.4
+    return [disk, square, polygon, Bitmap(resolution=16, bits=bits)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coords_at_equals_torus_coords_bitwise(d):
+    rng = np.random.default_rng(d)
+    for trial in range(4):
+        sys = sample_free_system(int(rng.integers(1 << 30)), 2, d, 4)
+        sides = tuple(int(s) for s in rng.integers(3, 40 if d == 2 else 12, d))
+        low = tuple(int(x) for x in rng.integers(-5000, 50, d))
+        disk, square = _shapes()
+        win = extract_window(disk, square, sys, TorusPoint(rng.random(2)), Rect(low, sides))
+        cells = np.stack([rng.integers(0, s, 500) for s in sides], axis=1)
+        want = torus_coords(sys, win.base, win.window)[tuple(cells.T)]
+        assert np.array_equal(coords_at(win, cells), want)
+
+
+@pytest.mark.parametrize(
+    "low, sides",
+    [
+        ((-40, 7), (37, 1000)),  # 16-row slabs; 37 rows are not a multiple of 16
+        ((-1, -30000), (3, 20000)),  # one row is wider than a slab
+        ((-4, -70, 3), (9, 40, 50)),  # d = 3, 8 planes to a slab
+        ((2, -75, -65), (3, 150, 130)),  # d = 3, one plane is wider than a slab
+    ],
+)
+def test_extract_window_slabs_equal_the_whole_window_reference(low, sides):
+    R = Rect(low, sides)
+    sys = sample_free_system(13, 2, len(sides), 4)
+    u = TorusPoint([0.77, 0.31])
+    flat = torus_coords(sys, u, R).reshape(-1, 2)
+    shapes = _all_shapes()
+    for shape_a, shape_b in zip(shapes, shapes[1:] + shapes[:1]):
+        win = extract_window(shape_a, shape_b, sys, u, R)
+        assert np.array_equal(win.a_bits.bits, shape_a.contains_batch(flat).reshape(sides))
+        assert np.array_equal(win.b_bits.bits, shape_b.contains_batch(flat).reshape(sides))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one slab's (SLAB_CELLS, k = 2) float64 coordinates
+SLAB_BYTES = SLAB_CELLS * 2 * 8
+
+
+def test_extract_window_keeps_no_window_sized_coordinates():
+    disk, square = _shapes()
+    sys = sample_free_system(7, 2, 2, 8)
+    R = Rect((-256, -256), (512, 512))
+    peak = _traced_peak(extract_window, disk, square, sys, TorusPoint([0.3, 0.7]), R)
+    # the two bit grids plus a few slab buffers, not 8k bytes per cell
+    assert peak < 2 * R.volume() + 6 * SLAB_BYTES
+
+
+def test_greedy_sparse_net_keeps_no_window_sized_coordinates():
+    disk, square = _shapes()
+    sys = sample_free_system(7, 2, 2, 8)
+    R = Rect((-256, -256), (512, 512))
+    win = extract_window(disk, square, sys, TorusPoint([0.3, 0.7]), R)
+    col = build_sparse_coloring(sys, 32)
+    peak = _traced_peak(greedy_sparse_net, win, col, 32)
+    # int64 colours and their order, the net and covered grids, a few slabs
+    assert peak < 16 * R.volume() + 2 * R.volume() + 4 * SLAB_BYTES
 
 
 def test_sparse_coloring_properties():
@@ -173,7 +259,7 @@ def test_greedy_sparse_net_sparse_and_maximal():
 def _greedy_net_per_class(win, coloring, r):
     """The greedy net with one step per color class, skipped or not."""
     sides = win.window.sides
-    colors = coloring.color_of(win.torus_coords()).reshape(-1)
+    colors = coloring.color_of(torus_coords(win.sys, win.base, win.window)).reshape(-1)
     order = np.argsort(colors, kind="stable")
     covered = np.zeros(sides, dtype=bool)
     net = np.zeros(sides, dtype=bool)
@@ -197,7 +283,7 @@ def test_greedy_sparse_net_skips_covered_classes_like_the_per_class_loop():
         r = 24
         col = build_sparse_coloring(sys, r)
         net = greedy_sparse_net(win, col, r)
-        classes = len(np.unique(col.color_of(win.torus_coords())))
+        classes = len(np.unique(col.color_of(torus_coords(win.sys, win.base, win.window))))
         assert classes > 20 * net.size()  # most classes are skipped
         assert np.array_equal(net.bits, _greedy_net_per_class(win, col, r))
 
@@ -211,8 +297,8 @@ def test_pipelines_leave_the_window_unchanged(pipeline):
     sys = sample_free_system(7, 2, 2, 8)
     win = extract_window(disk, square, sys, TorusPoint([0.3, 0.7]), Rect((-128, -128), (256, 256)))
 
-    def snapshot():  # every field but the coordinate cache, by value
-        return {f.name: pickle.dumps(getattr(win, f.name)) for f in fields(win) if f.name != "_coords"}
+    def snapshot():  # every field, by value
+        return {f.name: pickle.dumps(getattr(win, f.name)) for f in fields(win)}
 
     before = snapshot()
     if pipeline == "square":
