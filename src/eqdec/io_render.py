@@ -6,6 +6,11 @@ bit grids packed row by row; the piece grid as uint16 offset indices with
 0xFFFF meaning unmatched; a canonical UTF-8 JSON manifest {"config",
 "reports"} (vectors at full precision); and, as the last 32 bytes, the
 SHA-256 of every byte before it.
+
+Both ends stream: ``save_run`` writes and hashes one section at a time, and
+``load_run`` reads the file section by section, each read bounded by the file
+size, so beyond the grids it returns it holds one packed bit grid or one slab
+of ``SLAB_CELLS`` cells (the piece grid and the inverse map go slab by slab).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -22,7 +28,7 @@ from eqdec.errors import ArgumentError, LoadError
 from eqdec.lattice import CellSet, Rect
 from eqdec.matching import Matching
 from eqdec.torus import FreeVectorSystem, TorusPoint
-from eqdec.window import CosetWindow
+from eqdec.window import SLAB_CELLS, CosetWindow
 
 __all__ = [
     "save_run",
@@ -37,17 +43,13 @@ NONE_PIECE = 0xFFFF
 DIGEST_BYTES = 32
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    flat_rows = bits.reshape(-1, bits.shape[-1])
-    return np.packbits(flat_rows, axis=1).tobytes()
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    return np.packbits(bits.reshape(-1, bits.shape[-1]), axis=1)
 
 
-def _unpack_bits(data: bytes, sides) -> np.ndarray:
-    rows = int(np.prod(sides[:-1]))
-    row_bytes = (sides[-1] + 7) // 8
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(rows, row_bytes)
-    bits = np.unpackbits(arr, axis=1)[:, : sides[-1]]
-    return bits.reshape(sides).astype(bool)
+def _unpack_bits(packed: np.ndarray, sides) -> np.ndarray:
+    rows = packed.reshape(-1, (sides[-1] + 7) // 8)
+    return np.unpackbits(rows, axis=1, count=sides[-1]).view(bool).reshape(sides)
 
 
 def _sys_to_config(sys: FreeVectorSystem, base: TorusPoint) -> dict:
@@ -62,7 +64,8 @@ def _sys_to_config(sys: FreeVectorSystem, base: TorusPoint) -> dict:
 
 
 def save_run(path, win: CosetWindow, m: Matching, reports=None, extra_config=None) -> None:
-    """Write the EQDC container for a window plus matching."""
+    """Write the EQDC container for a window plus matching, one section at a
+    time; a failure part way removes the partial file."""
     if m.rect != win.window:
         raise ArgumentError("matching must live on the window rect")
     count = (2 * m.m_cap + 1) ** m.d
@@ -72,58 +75,88 @@ def save_run(path, win: CosetWindow, m: Matching, reports=None, extra_config=Non
     header = struct.pack("<IIII", d, win.sys.k, win.sys.m_cap, 0)
     header += struct.pack(f"<{d}q", *win.window.low)
     header += struct.pack(f"<{d}q", *win.window.sides)
-    a_bytes = _pack_bits(win.a_bits.bits)
-    b_bytes = _pack_bits(win.b_bits.bits)
-    piece_bytes = np.where(m.a_match >= 0, m.a_match, NONE_PIECE).astype("<u2").tobytes()
     config = {"system": _sys_to_config(win.sys, win.base)}
     if extra_config:
         config.update(extra_config)
     manifest = json.dumps(
         {"config": config, "reports": reports or []}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    payload = MAGIC + header + a_bytes + b_bytes + piece_bytes + manifest
-    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
+    digest = hashlib.sha256()
+    f = open(path, "wb")
+    try:
+        with f:
+            for data in _sections(win, m, header, manifest):
+                digest.update(data)
+                f.write(data)
+            f.write(digest.digest())
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _sections(win: CosetWindow, m: Matching, header: bytes, manifest: bytes):
+    """The container's sections in file order, each built when it is reached."""
+    yield MAGIC + header
+    yield _pack_bits(win.a_bits.bits)
+    yield _pack_bits(win.b_bits.bits)
+    yield m.a_match.astype("<u2")  # -1 wraps to NONE_PIECE
+    yield manifest
 
 
 def load_run(path):
     """Read an EQDC container back; a bad digest, truncation or an
     inconsistent header or manifest raises LoadError."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return _read_run(f, os.fstat(f.fileno()).st_size)
     except OSError as e:
         raise LoadError(f"cannot read {path}: {e.strerror or e}") from e
-    if len(data) < len(MAGIC) + 16:
-        raise LoadError("file truncated before header")
-    if data[: len(MAGIC)] != MAGIC:
-        raise LoadError(f"bad magic {data[:8]!r}")
-    pos = len(MAGIC)
-    d, k, m_cap, _flags = struct.unpack_from("<IIII", data, pos)
-    pos += 16
+
+
+def _read_run(f, size: int):
+    """``load_run`` on an open file of ``size`` bytes (see the module notes)."""
+    digest = hashlib.sha256()
+
+    def fill(buf, truncated="file truncated inside grids"):
+        if f.readinto(buf) != memoryview(buf).nbytes:
+            raise LoadError(truncated)
+        digest.update(buf)
+        return buf
+
+    pos = len(MAGIC) + 16
+    head = fill(bytearray(pos), "file truncated before header")
+    if head[: len(MAGIC)] != MAGIC:
+        raise LoadError(f"bad magic {bytes(head[: len(MAGIC)])!r}")
+    d, k, m_cap, _flags = struct.unpack_from("<IIII", head, len(MAGIC))
+    if size < pos + 16 * d:
+        raise LoadError("file truncated inside header")
+    axes = struct.unpack(f"<{2 * d}q", fill(bytearray(16 * d), "file truncated inside header"))
+    pos += 16 * d
     try:
-        low = struct.unpack_from(f"<{d}q", data, pos)
-        pos += 8 * d
-        sides = struct.unpack_from(f"<{d}q", data, pos)
-        pos += 8 * d
-        window = Rect(low, sides)
-    except struct.error as e:
-        raise LoadError("file truncated inside header") from e
+        window = Rect(axes[:d], axes[d:])
     except ArgumentError as e:
         raise LoadError(f"header window malformed: {e}") from e
+    sides = window.sides
     grid_bytes = math.prod(sides[:-1]) * ((sides[-1] + 7) // 8)
-    piece_bytes = math.prod(sides) * 2
-    if len(data) < pos + 2 * grid_bytes + piece_bytes + DIGEST_BYTES:
+    cells = window.volume()
+    pos += 2 * grid_bytes + 2 * cells
+    if size < pos + DIGEST_BYTES:
         raise LoadError("file truncated inside grids")
-    body = data[:-DIGEST_BYTES]
-    if hashlib.sha256(body).digest() != data[-DIGEST_BYTES:]:
+    a_bits = _unpack_bits(fill(np.empty(grid_bytes, np.uint8)), sides)
+    b_bits = _unpack_bits(fill(np.empty(grid_bytes, np.uint8)), sides)
+    a_flat = np.empty(cells, dtype=np.int32)
+    slabs = range(0, cells, SLAB_CELLS)
+    top = 0  # the largest stored piece index, checked once M is confirmed
+    for lo in slabs:
+        part = fill(np.empty(min(SLAB_CELLS, cells - lo), dtype="<u2"))
+        live = part != NONE_PIECE
+        top = max(top, int(part.max(initial=0, where=live)))
+        a_flat[lo : lo + len(part)] = np.where(live, part, np.int32(-1))
+    raw = fill(bytearray(size - pos - DIGEST_BYTES))
+    if digest.digest() != f.read(DIGEST_BYTES):
         raise LoadError("hash mismatch: file digest differs from its contents")
-    a_raw = body[pos : pos + grid_bytes]
-    pos += grid_bytes
-    b_raw = body[pos : pos + grid_bytes]
-    pos += grid_bytes
-    p_raw = body[pos : pos + piece_bytes]
-    pos += piece_bytes
     try:
-        manifest = json.loads(body[pos:].decode("utf-8"))
+        manifest = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise LoadError("manifest unreadable") from e
     if not isinstance(manifest, dict):
@@ -148,30 +181,29 @@ def load_run(path):
             f"header (d, k, M) = {(d, k, m_cap)} disagrees with the manifest system "
             f"{(sys.d, sys.k, sys.m_cap)}"
         )
-    a_bits = _unpack_bits(a_raw, sides)
-    b_bits = _unpack_bits(b_raw, sides)
-    win = CosetWindow(
-        base=base,
-        sys=sys,
-        window=window,
-        a_bits=CellSet(window, a_bits),
-        b_bits=CellSet(window, b_bits),
-    )
-    pieces = np.frombuffer(p_raw, dtype="<u2").reshape(sides)
+    win = CosetWindow(base, sys, window, CellSet(window, a_bits), CellSet(window, b_bits))
     count = (2 * m_cap + 1) ** d
-    if np.any((pieces != NONE_PIECE) & (pieces >= count)):
+    if top >= count:
         raise LoadError(f"stored piece index outside the (2M+1)^d = {count} offsets")
-    m = Matching(window, m_cap)
-    m.a_match = np.where(pieces == NONE_PIECE, -1, pieces.astype(np.int32))
-    b_match = np.full(sides, -1, dtype=np.int32)
-    a_idx, ks, b_idx = m.edges()
-    if len(a_idx):
-        if b_idx.min() < 0 or np.any(b_idx >= np.array(sides)):
-            raise LoadError("stored piece index points outside the window")
-        b_match[tuple(b_idx.T)] = ks
-        if int((b_match >= 0).sum()) != len(a_idx):
-            raise LoadError("stored pieces map two cells to one target")
-    m.b_match = b_match
+    m = Matching(window, m_cap, a_flat.reshape(sides), np.full(sides, -1, dtype=np.int32))
+    # the inverse map from flat indices, one slab of A-cells and one axis at a time
+    b_flat = m.b_match.reshape(-1)
+    strides = [math.prod(sides[j + 1 :]) for j in range(d)]
+    edges = 0
+    for lo in slabs:
+        a_idx = np.flatnonzero(a_flat[lo : lo + SLAB_CELLS] >= 0) + lo
+        ks = a_flat[a_idx]
+        b_idx = a_idx.copy()
+        for j, (side, stride) in enumerate(zip(sides, strides)):
+            step = m.offsets[ks, j]
+            to = a_idx // stride % side + step
+            if to.min(initial=0) < 0 or to.max(initial=0) >= side:
+                raise LoadError("stored piece index points outside the window")
+            b_idx += step * stride
+        b_flat[b_idx] = ks
+        edges += len(a_idx)
+    if sum(np.count_nonzero(b_flat[lo : lo + SLAB_CELLS] >= 0) for lo in slabs) != edges:
+        raise LoadError("stored pieces map two cells to one target")
     return win, m, manifest
 
 
@@ -215,16 +247,12 @@ def render_pieces(win: CosetWindow, m: Matching, side: str = "a", scale: int = 1
     m.validate(win.a_bits.bits, win.b_bits.bits)
     sides = win.window.sides
     img = np.broadcast_to(WHITE, sides + (3,)).copy()
-    if side == "a":
-        part = win.a_bits.bits
-        matched = m.a_match >= 0
-        colors = piece_palette(np.where(matched, m.a_match, 0))
-    else:
-        part = win.b_bits.bits
-        matched = m.b_match >= 0
-        colors = piece_palette(np.where(matched, m.b_match, 0))
+    part, match = (
+        (win.a_bits.bits, m.a_match) if side == "a" else (win.b_bits.bits, m.b_match)
+    )
+    matched = match >= 0
     img[part & ~matched] = GRAY
-    img[matched] = colors[matched]
+    img[matched] = piece_palette(np.arange(len(m.offsets)))[match[matched]]
     if scale > 1:
         img = np.repeat(np.repeat(img, scale, axis=0), scale, axis=1)
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")

@@ -183,6 +183,13 @@ def build_sparse_coloring(sys: FreeVectorSystem, r: int) -> SparseColoring:
     return SparseColoring(n_grid=n, k=sys.k, radius=r, min_distance=min_dist)
 
 
+def _digit_rows(colors: np.ndarray, top: int) -> np.ndarray:
+    """The 16-bit digits of non-negative ``colors`` below ``top``, a flat row a digit,
+    lowest first: ``np.lexsort`` of the rows is the colours' stable order."""
+    shifts = range(0, max(1, (top - 1).bit_length()), 16)
+    return np.array([colors.ravel() >> s for s in shifts], dtype=np.uint16)
+
+
 def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> CellSet:
     """Maximal r-sparse net on the window, greedy over ascending colors.
 
@@ -191,18 +198,17 @@ def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> Cel
     conflict with each other). Classes can far outnumber net cells (243,049
     for 39 at r = 128 on a 1024^2 window), so the scan jumps to the next
     class that still holds an uncovered cell, searching in doubling chunks.
-    The colours are computed one slab of rows at a time, then sorted in place
-    once their stable order is taken, so a class is a run of equal colours.
+    The colours are computed one slab of rows at a time and kept as 16-bit
+    digits; sorted by them, a class is a run of equal digit columns.
     """
     if coloring.radius < r:
         raise ArgumentError("coloring was built for a smaller sparsity radius")
     sides = win.window.sides
-    colors = np.empty(sides, dtype=np.int64)
-    for lo, hi, slab in _slabs(win.window):
-        colors[lo:hi] = coloring.color_of(torus_coords(win.sys, win.base, slab))
-    colors = colors.reshape(-1)
-    order = np.argsort(colors, kind="stable")
-    colors.sort()
+    top = coloring.n_grid**coloring.k
+    coords = (torus_coords(win.sys, win.base, slab) for _, _, slab in _slabs(win.window))
+    digits = np.concatenate([_digit_rows(coloring.color_of(x), top) for x in coords], axis=1)
+    order = np.lexsort(digits)  # one radix pass a 16-bit digit
+    digits = digits[:, order]
     covered = np.zeros(sides, dtype=bool)
     flat_covered = covered.reshape(-1)
     net = np.zeros(sides, dtype=bool)
@@ -214,7 +220,9 @@ def greedy_sparse_net(win: CosetWindow, coloring: SparseColoring, r: int) -> Cel
             step *= 2
             continue
         start = pos + hit[0]  # the cells of its class before it are covered
-        end = np.searchsorted(colors, colors[start], side="right")
+        end = len(order)
+        for row in digits[::-1]:  # the class's run, narrowed from the highest digit
+            end = start + np.searchsorted(row[start:end], row[start], side="right")
         cand = order[start:end]
         cand = cand[~flat_covered[cand]]
         net.reshape(-1)[cand] = True

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eqdec import io_render
 from eqdec.errors import ArgumentError, LoadError
 from eqdec.io_render import (
     DIGEST_BYTES,
+    MAGIC,
     load_run,
     piece_palette,
     render_pieces,
@@ -17,7 +20,7 @@ from eqdec.lattice import CellSet, Rect
 from eqdec.lebesgue import build_schedule, run_pipeline
 from eqdec.matching import Matching
 from eqdec.torus import AxisSquare, Disk, TorusPoint, sample_free_system
-from eqdec.window import CosetWindow, extract_window
+from eqdec.window import SLAB_CELLS, CosetWindow, extract_window
 
 
 def small_run(side=64, seed=7):
@@ -158,6 +161,40 @@ def test_edit_without_new_digest_rejected(tmp_path, edit):
         load_run(bad)
 
 
+def _offset(a, b, m_cap=8):
+    """Row-major index of the d = 2 offset (a, b)."""
+    return (a + m_cap) * (2 * m_cap + 1) + (b + m_cap)
+
+
+@pytest.mark.parametrize(
+    "side, edits, match",
+    [
+        (64, [((5, 63), _offset(0, 1))], "points outside the window"),
+        (64, [((63, 5), _offset(1, 0))], "points outside the window"),
+        (64, [((0, 0), _offset(0, -1))], "points outside the window"),
+        # the last row of the first slab of pieces and the first row of the next
+        (
+            256,
+            [((SLAB_CELLS // 256 - 1, 7), _offset(1, 0)), ((SLAB_CELLS // 256, 7), _offset(0, 0))],
+            "two cells to one target",
+        ),
+    ],
+    ids=["past-row-end", "past-last-row", "before-first-cell", "across-slabs"],
+)
+def test_stored_pieces_checked_against_the_window(tmp_path, side, edits, match):
+    win, m = small_run(side=side)
+    path = tmp_path / "run.eqdc"
+    save_run(path, win, m)
+    raw = bytearray(path.read_bytes())
+    at = 8 + 16 + 2 * 16 + 2 * side * side // 8  # the piece grid
+    for (i, j), k in edits:
+        struct.pack_into("<H", raw, at + 2 * (i * side + j), k)
+    bad = tmp_path / "bad.eqdc"
+    bad.write_bytes(reseal(bytes(raw)))
+    with pytest.raises(LoadError, match=match):
+        load_run(bad)
+
+
 def test_every_byte_flip_and_truncation_rejected(tmp_path):
     win, m = small_run(side=56)
     path = tmp_path / "run.eqdc"
@@ -256,3 +293,81 @@ def test_palette_deterministic():
     c2 = piece_palette(idx)
     assert np.array_equal(c1, c2)
     assert len(np.unique(c1.reshape(-1, 3), axis=0)) > 50
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 1 << 20
+
+
+def test_load_and_save_stream(tmp_path):
+    win, m = small_run(side=512)
+    cells = win.window.volume()
+    path = tmp_path / "run.eqdc"
+    save_run(path, win, m)
+    # the two bool and the two int32 grids that load_run returns, plus a slab
+    assert _traced_peak(load_run, path) < 10 * cells + MIB
+    # the <u2 piece grid, plus a packed bit grid or a slab
+    assert _traced_peak(save_run, path, win, m) < 2 * cells + MIB
+    assert load_run(path)[1].size() == m.size()
+
+
+@pytest.mark.parametrize(
+    "d, sides", [(2, (1 << 40, 1 << 40)), (0xFFFFFFFF, (1, 1))], ids=["huge-sides", "huge-d"]
+)
+def test_oversize_header_rejected_without_allocating(tmp_path, d, sides):
+    raw = MAGIC + struct.pack("<IIII", d, 2, 8, 0) + struct.pack("<4q", 0, 0, *sides)
+    bad = tmp_path / "bad.eqdc"
+    bad.write_bytes(raw.ljust(100, b"\0"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LoadError, match="truncated"):
+            load_run(bad)
+        assert tracemalloc.get_traced_memory()[1] < MIB
+    finally:
+        tracemalloc.stop()
+
+
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
+    win, m = small_run()
+    calls = []
+    pack = io_render._pack_bits
+
+    def pack_once(bits):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("second grid")
+        return pack(bits)
+
+    monkeypatch.setattr(io_render, "_pack_bits", pack_once)
+    path = tmp_path / "run.eqdc"
+    with pytest.raises(MemoryError):
+        save_run(path, win, m)
+    assert len(calls) == 2 and not path.exists()
+
+
+def _render_per_cell(win, m, side):
+    """The piece map with the palette hashed at every window cell."""
+    part, match = (win.a_bits.bits, m.a_match) if side == "a" else (win.b_bits.bits, m.b_match)
+    matched = match >= 0
+    img = np.full(win.window.sides + (3,), 255, dtype=np.uint8)
+    img[part & ~matched] = 64
+    img[matched] = piece_palette(np.where(matched, match, 0))[matched]
+    return b"P6\n%d %d\n255\n" % img.shape[1::-1] + img.tobytes()
+
+
+@pytest.mark.parametrize("matched", [True, False], ids=["run", "nothing-matched"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_render_palette_table_equals_per_cell_palette(matched, side):
+    win, m = small_run()
+    if not matched:
+        m = Matching(win.window, win.sys.m_cap)
+    assert render_pieces(win, m, side=side) == _render_per_cell(win, m, side)

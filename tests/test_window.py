@@ -18,6 +18,7 @@ from eqdec.torus import (
 )
 from eqdec.window import (
     SLAB_CELLS,
+    _digit_rows,
     _min_translation_distance,
     build_sparse_coloring,
     coords_at,
@@ -306,3 +307,33 @@ def test_pipelines_leave_the_window_unchanged(pipeline):
     else:
         run_baire(win, (8, 24), seed=11, net_cap=6)
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("top", [1, 7, 1 << 16, 1 << 20, 1 << 34, 1 << 62])
+def test_digit_rows_sort_like_the_colours(top):
+    keys = np.random.default_rng(top).integers(0, top, 5000, dtype=np.int64)
+    keys[::7] = keys[0]  # ties across the whole range
+    rows = _digit_rows(keys, top)
+    assert len(rows) == max(1, -(-(top - 1).bit_length() // 16))
+    assert np.array_equal(np.lexsort(rows), np.argsort(keys, kind="stable"))
+
+
+def test_digit_rows_of_no_colours():
+    assert np.lexsort(_digit_rows(np.zeros(0, dtype=np.int64), 1 << 40)).shape == (0,)
+
+
+@pytest.mark.parametrize("r, side", [(7, 64), (128, 320)])
+def test_greedy_sparse_net_equals_cell_by_cell_greedy(r, side):
+    # r = 128 takes 706^2 colours, two 16-bit digits
+    sys = sample_free_system(7, 2, 2, 8)
+    disk, square = _shapes()
+    win = extract_window(disk, square, sys, TorusPoint([0.4, 0.9]), Rect((0, 0), (side, side)))
+    col = build_sparse_coloring(sys, r)
+    colors = col.color_of(torus_coords(sys, win.base, win.window)).ravel()
+    net = np.zeros((side, side), dtype=bool)
+    covered = np.zeros_like(net)
+    for i, j in zip(*np.unravel_index(np.argsort(colors, kind="stable"), net.shape)):
+        if not covered[i, j]:
+            net[i, j] = True
+            covered[max(0, i - r) : i + r + 1, max(0, j - r) : j + r + 1] = True
+    assert np.array_equal(greedy_sparse_net(win, col, r).bits, net)
